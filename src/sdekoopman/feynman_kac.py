@@ -12,9 +12,13 @@ clamp of the first out-of-box state onto the box.
 
 Randomness is counter-based: the normals for simulation step ``s`` of query
 stream ``q`` come from a Philox generator keyed by ``(seed, q)`` with counter
-block ``s``, with paths laid out as rows of the drawn block.  Results are
-therefore bit-reproducible and independent of evaluation order and thread
-count.
+block ``s``, with paths laid out as rows of the drawn block.  The queries of a
+batch are stepped together in blocks of at most ``_BLOCK_ROWS`` path rows
+(one query per block when its paths alone exceed that); each step evaluates
+the drift once on all live paths of the block, except that a query down to
+its last live path is evaluated on its own, as a standalone run evaluates it.
+Results are bit-reproducible and independent of evaluation order, of how the
+queries are grouped into blocks, and of thread count.
 
 For negative eigenvalues the discount e^{-lambda t} grows without bound, so
 paths are also stopped once it would exceed ``DISCOUNT_GUARD``; such paths
@@ -88,12 +92,39 @@ def counter_normals(seed: int, stream: int, step: int, n: int, m: int) -> Array:
     return gen.standard_normal((n, m))
 
 
-def _step_normals(cfg: FkConfig, stream: int, step: int, n: int, m: int) -> Array:
-    if not cfg.antithetic:
-        return counter_normals(cfg.seed, stream, step, n, m)
-    half = (n + 1) // 2
-    Z = counter_normals(cfg.seed, stream, step, half, m)
-    return np.vstack([Z, -Z[: n - half]])
+class _NormalStream:
+    """The per-step normals of one query stream, drawn into a fixed buffer.
+
+    ``draw(s)`` fills ``out`` (shape ``(n, m)``) with
+    ``counter_normals(cfg.seed, stream, s, n, m)``; with ``cfg.antithetic``
+    the first ``ceil(n / 2)`` rows are drawn that way and the rest are their
+    negations.  One Philox generator is re-keyed to counter block ``s`` for
+    each draw instead of building a new one, so steps may be drawn in any
+    order.
+    """
+
+    def __init__(self, cfg: FkConfig, stream: int, out: Array):
+        key = np.array([cfg.seed % 2**64, stream % 2**64], dtype=np.uint64)
+        self._bitgen = np.random.Philox(key=key)
+        self._gen = np.random.Generator(self._bitgen)
+        self._fresh = self._bitgen.state  # counter 0, empty output buffer
+        n = out.shape[0]
+        self._half = (n + 1) // 2 if cfg.antithetic else n
+        self._out = out
+
+    def draw(self, step: int) -> Array:
+        self._fresh["state"]["counter"][2] = step
+        self._bitgen.state = self._fresh
+        out, half = self._out, self._half
+        self._gen.standard_normal(out=out[:half])
+        if half < out.shape[0]:
+            np.negative(out[: out.shape[0] - half], out=out[half:])
+        return out
+
+
+def _em_update(X: Array, G: Array, S: Array, Z: Array, dt: float) -> Array:
+    """The Euler-Maruyama update from drift ``G`` and diffusion factor ``S`` at X."""
+    return X + G * dt + np.sqrt(dt) * np.einsum("ndm,nm->nd", S, Z)
 
 
 def em_step(system: SdeSystem, x: Array, dt: float, z: Array) -> Array:
@@ -107,8 +138,7 @@ def em_step(system: SdeSystem, x: Array, dt: float, z: Array) -> Array:
     single = x.ndim == 1
     X = np.atleast_2d(x)
     Z = np.atleast_2d(z)
-    S = system.sigma_at(X)
-    out = X + system.drift_at(X) * dt + np.sqrt(dt) * np.einsum("ndm,nm->nd", S, Z)
+    out = _em_update(X, system.drift_at(X), system.sigma_at(X), Z, dt)
     if not np.all(np.isfinite(out)):
         bad = X[~np.isfinite(out).all(axis=1)][0]
         raise EvaluationError(f"Euler-Maruyama step blew up from state {bad}")
@@ -124,6 +154,126 @@ def _horizon(lam: float, cfg: FkConfig):
     return cfg.t_max, False
 
 
+# Most path rows stepped together; bounds the working set of a batch.
+_BLOCK_ROWS = 1 << 16
+
+
+def _check_query(system: SdeSystem, domain: Domain, x: Array) -> None:
+    if x.shape != (system.dim_state,):
+        raise ValueError(f"query point must have shape ({system.dim_state},)")
+    if not domain.contains_strict(x):
+        raise ValueError(f"query point {x} must lie strictly inside the domain")
+
+
+def _failed(cfg: FkConfig, message: str) -> FkEstimate:
+    return FkEstimate(value=float("nan"), std_error=float("nan"), n_capped=cfg.n_paths,
+                      mean_exit_time=float("nan"), discount_overflow=False,
+                      n_paths=cfg.n_paths, failure=message)
+
+
+def _advance(system: SdeSystem, decomp: LinearDecomposition, w: Array, X: Array,
+             Z: Array, dt: float):
+    """Source ``w^T F`` at states X and their Euler-Maruyama update.
+
+    The drift is evaluated once; ``F = G - A (x - x*)`` is the drift split
+    exactly as :func:`linearize` computes it.
+    """
+    G = system.drift_at(X)
+    F = G - (X - decomp.equilibrium) @ decomp.a_matrix.T
+    return F @ w, _em_update(X, G, system.sigma_at(X), Z, dt)
+
+
+def _fk_block(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
+              domain: Domain, points: Array, streams, cfg: FkConfig) -> list[FkEstimate]:
+    """Step the paths of the queries ``points`` (stream ids ``streams``) together.
+
+    Path ``k`` of the ``j``-th query is flat row ``j * K + k``.  Only live
+    paths are stepped, kept compacted in flat-row order with their row
+    indices and running source integrals ``acc``; a path's value goes to
+    ``vals`` when it exits, and at the end for capped paths.  A query whose
+    paths blow up gets a failure estimate carrying the message a standalone
+    run raises; the other queries are unaffected.
+    """
+    lam = eigenpair.eigenvalue
+    w = eigenpair.left_eigenvector
+    n_q, K, dt = len(points), cfg.n_paths, cfg.dt
+    t_cap, guard_active = _horizon(lam, cfg)
+    n_steps = int(np.floor(t_cap / dt + 1e-9))
+
+    Z = np.empty((n_q * K, system.dim_noise))
+    normals = [_NormalStream(cfg, q, Z[j * K:(j + 1) * K]) for j, q in enumerate(streams)]
+    query_starts = np.arange(n_q + 1) * K
+    X = np.repeat(points, K, axis=0)
+    rows = np.arange(n_q * K)
+    acc = np.zeros(n_q * K)
+    vals = np.zeros(n_q * K)
+    tau = np.full(n_q * K, np.nan)
+    failures = [None] * n_q
+    for s in range(n_steps):
+        if not rows.size:
+            break
+        bounds = np.searchsorted(rows, query_starts)
+        counts = np.diff(bounds)
+        for j in np.flatnonzero(counts):
+            normals[j].draw(s)
+        t = s * dt
+        Zl = Z.take(rows, axis=0)
+        lone = bounds[:-1][counts == 1]
+        if lone.size and rows.size > 1:
+            # BLAS rounds a one-row product differently from the same row
+            # inside a larger one, so a query down to its last live path is
+            # stepped on its own, as a standalone run steps it
+            source, Xn = np.empty(rows.size), np.empty_like(X)
+            rest = np.ones(rows.size, dtype=bool)
+            rest[lone] = False
+            for part in (np.flatnonzero(rest), *lone[:, None]):
+                if part.size:
+                    source[part], Xn[part] = _advance(system, decomp, w, X[part], Zl[part], dt)
+        else:
+            source, Xn = _advance(system, decomp, w, X, Zl, dt)
+        acc += np.exp(-lam * t) * source * dt
+        if not np.all(np.isfinite(Xn)):
+            bad = np.flatnonzero(~np.isfinite(Xn).all(axis=1))
+            queries, first = np.unique(rows[bad] // K, return_index=True)
+            ok = np.ones(rows.size, dtype=bool)
+            for j, r in zip(queries, bad[first]):
+                failures[j] = f"path blew up from state {X[r]} at t={t:.4g}"
+                ok[bounds[j]:bounds[j + 1]] = False
+            Xn, rows, acc = Xn[ok], rows[ok], acc[ok]
+        inside = domain.contains(Xn)
+        if not inside.all():
+            out = ~inside
+            exited = rows[out]
+            t_next = (s + 1) * dt
+            tau[exited] = t_next
+            vals[exited] = acc[out] + np.exp(-lam * t_next) * domain.psi_at(
+                domain.clamp(Xn[out]))
+            Xn, rows, acc = Xn[inside], rows[inside], acc[inside]
+        X = Xn
+    vals[rows] = acc
+
+    n_capped = np.diff(np.searchsorted(rows, query_starts))
+    estimates = []
+    for j in range(n_q):
+        if failures[j] is not None:
+            estimates.append(_failed(cfg, failures[j]))
+            continue
+        span = slice(j * K, (j + 1) * K)
+        v, tau_j = vals[span], tau[span]
+        exited = ~np.isnan(tau_j)
+        mean_exit = float(tau_j[exited].mean()) if exited.any() else float("nan")
+        if K == 1 or np.ptp(v) == 0.0:
+            se = 0.0
+        else:
+            se = float(v.std(ddof=1) / np.sqrt(K))
+        capped = int(n_capped[j])
+        estimates.append(FkEstimate(value=float(v.mean()), std_error=se,
+                                    n_capped=capped, mean_exit_time=mean_exit,
+                                    discount_overflow=bool(guard_active and capped > 0),
+                                    n_paths=K))
+    return estimates
+
+
 def fk_estimate(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
                 domain: Domain, x: Array, cfg: FkConfig,
                 query_index: int = 0) -> FkEstimate:
@@ -132,79 +282,43 @@ def fk_estimate(system: SdeSystem, decomp: LinearDecomposition, eigenpair: Eigen
     Each path accumulates ``e^{-lambda t} w^T F(X_t) dt`` until it leaves the
     box (adding ``e^{-lambda tau} psi`` at the clamped exit state) or the time
     cap is hit.  Capped paths contribute their running integral without a
-    boundary term and are counted in ``n_capped``.
+    boundary term and are counted in ``n_capped``.  The source is the drift
+    split ``F = G - A (x - x*)`` of ``decomp``, as :func:`linearize` defines
+    it.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (system.dim_state,):
-        raise ValueError(f"query point must have shape ({system.dim_state},)")
-    if not domain.contains_strict(x):
-        raise ValueError(f"query point {x} must lie strictly inside the domain")
-    lam = eigenpair.eigenvalue
-    w = eigenpair.left_eigenvector
-    K, dt = cfg.n_paths, cfg.dt
-    t_cap, guard_active = _horizon(lam, cfg)
-    n_steps = int(np.floor(t_cap / dt + 1e-9))
-
-    X = np.tile(x, (K, 1))
-    running = np.zeros(K)
-    payoff = np.zeros(K)
-    alive = np.ones(K, dtype=bool)
-    tau = np.full(K, np.nan)
-    for s in range(n_steps):
-        if not alive.any():
-            break
-        Z = _step_normals(cfg, query_index, s, K, system.dim_noise)
-        t = s * dt
-        Xa = X[alive]
-        running[alive] += np.exp(-lam * t) * (decomp.nonlinear_at(Xa) @ w) * dt
-        Sa = system.sigma_at(Xa)
-        Xn = Xa + system.drift_at(Xa) * dt + np.sqrt(dt) * np.einsum("ndm,nm->nd", Sa, Z[alive])
-        if not np.all(np.isfinite(Xn)):
-            bad = Xa[~np.isfinite(Xn).all(axis=1)][0]
-            raise EvaluationError(f"path blew up from state {bad} at t={t:.4g}")
-        X[alive] = Xn
-        t_next = (s + 1) * dt
-        newly_out = alive.copy()
-        newly_out[alive] = ~domain.contains(Xn)
-        if newly_out.any():
-            tau[newly_out] = t_next
-            exit_pos = domain.clamp(X[newly_out])
-            payoff[newly_out] = np.exp(-lam * t_next) * domain.psi_at(exit_pos)
-            alive[newly_out] = False
-
-    vals = running + payoff
-    n_capped = int(alive.sum())
-    exited = ~np.isnan(tau)
-    mean_exit = float(tau[exited].mean()) if exited.any() else float("nan")
-    if K == 1 or np.ptp(vals) == 0.0:
-        se = 0.0
-    else:
-        se = float(vals.std(ddof=1) / np.sqrt(K))
-    return FkEstimate(value=float(vals.mean()), std_error=se, n_capped=n_capped,
-                      mean_exit_time=mean_exit,
-                      discount_overflow=bool(guard_active and n_capped > 0),
-                      n_paths=K)
+    _check_query(system, domain, x)
+    est, = _fk_block(system, decomp, eigenpair, domain, x[None, :], [query_index], cfg)
+    if est.failure is not None:
+        raise EvaluationError(est.failure)
+    return est
 
 
 def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
              domain: Domain, query_points, cfg: FkConfig) -> list[FkEstimate]:
     """Independent estimates per query point, streams derived from the index.
 
+    Entry ``i`` equals ``fk_estimate(..., query_index=i)``; the queries are
+    stepped together in blocks of at most ``_BLOCK_ROWS`` path rows.
     Per-point failures are recorded on the estimate (``failure`` message,
     NaN value) instead of aborting the batch.  Results do not depend on
-    evaluation order.
+    evaluation order or on how the queries are grouped into blocks.
     """
     pts = np.atleast_2d(np.asarray(query_points, dtype=float))
-    out = []
+    out = [None] * len(pts)
+    valid = []
     for i, x in enumerate(pts):
         try:
-            out.append(fk_estimate(system, decomp, eigenpair, domain, x, cfg,
-                                   query_index=i))
-        except (EvaluationError, ValueError) as exc:
-            out.append(FkEstimate(value=float("nan"), std_error=float("nan"),
-                                  n_capped=cfg.n_paths, mean_exit_time=float("nan"),
-                                  discount_overflow=False, n_paths=cfg.n_paths,
-                                  failure=str(exc)))
+            _check_query(system, domain, x)
+            valid.append(i)
+        except ValueError as exc:
+            out[i] = _failed(cfg, str(exc))
+    per_block = max(1, _BLOCK_ROWS // cfg.n_paths)
+    for b in range(0, len(valid), per_block):
+        ids = valid[b:b + per_block]
+        ests = _fk_block(system, decomp, eigenpair, domain, pts[ids], ids, cfg)
+        for i, est in zip(ids, ests):
+            out[i] = est
     return out
 
 
@@ -269,17 +383,13 @@ def simulate_terminal(system: SdeSystem, x0: Array, t: float, cfg: FkConfig,
         want = {int(round(ti / cfg.dt)): float(ti) for ti in snapshot_times}
         n_steps = max(n_steps, max(want))
     X = np.tile(x0, (cfg.n_paths, 1))
+    normals = _NormalStream(cfg, stream, np.empty((cfg.n_paths, system.dim_noise)))
     snaps = {}
     for s in range(n_steps):
-        Z = _step_normals(cfg, stream, s, cfg.n_paths, system.dim_noise)
-        X = em_step(system, X, cfg.dt, Z)
+        X = em_step(system, X, cfg.dt, normals.draw(s))
         if (s + 1) in want:
             snaps[want[s + 1]] = X.copy()
     return snaps if snapshot_times is not None else X
-
-
-FK_CSV_COLUMNS = ("query_index", "x", "value", "std_error", "n_capped",
-                  "mean_exit_time", "overflow_flag")
 
 
 def estimates_to_csv(estimates, query_points) -> str:

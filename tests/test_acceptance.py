@@ -8,6 +8,7 @@ the Monte Carlo machinery and the determinism contract.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import sdekoopman
 from oracles import fd_grad, fd_hessian, random_kernel_cases, random_spd_matrix
 from sdekoopman import (Domain, EigenPair, FkConfig, GaussianKernel, assemble,
                         boundary_stability_check, check_acceptance, get_model,
@@ -185,8 +187,14 @@ def test_criterion_9_hutchinson_estimator():
 
 
 def _run_cli(args, cwd):
+    # the package's own src directory, absolute, so the child imports the
+    # code under test from any working directory
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sdekoopman.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-m", "sdekoopman.cli", *args],
-                          cwd=cwd, capture_output=True, text=True)
+                          cwd=cwd, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc
 

@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import sdekoopman.feynman_kac as feynman_kac
 from sdekoopman import (CollocationGrid, Domain, EigenPair, FkConfig,
-                        GaussianKernel, em_step, fk_batch, fk_estimate,
+                        GaussianKernel, em_step, fk_batch, fk_estimate, get_model,
                         krr_fit, mc_convergence_probe, simulate_terminal)
 from sdekoopman.errors import EvaluationError
-from sdekoopman.feynman_kac import counter_normals, estimates_to_csv
+from sdekoopman.feynman_kac import _NormalStream, counter_normals, estimates_to_csv
 from sdekoopman.models import SdeSystem, linearize
 from sdekoopman.registry import constant_diffusion
 
@@ -49,6 +50,23 @@ class TestCounterNormals:
         z = counter_normals(11, 0, 0, 200_000, 1)[:, 0]
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
+
+
+class TestNormalStream:
+    def test_reused_generator_matches_counter_normals(self):
+        n, m = 7, 2
+        stream = _NormalStream(FkConfig(seed=13), 4, np.empty((n, m)))
+        for step in (3, 0, 5, 1, 5, 0, 12):
+            assert np.array_equal(stream.draw(step), counter_normals(13, 4, step, n, m))
+
+    def test_antithetic_halves(self):
+        n, m = 9, 1
+        half = (n + 1) // 2
+        stream = _NormalStream(FkConfig(seed=2, antithetic=True), 1, np.empty((n, m)))
+        for step in (6, 0, 2, 0):
+            z = stream.draw(step)
+            assert np.array_equal(z[:half], counter_normals(2, 1, step, half, m))
+            assert np.array_equal(z[half:], -z[: n - half])
 
 
 class TestEmStep:
@@ -192,6 +210,146 @@ class TestFkBatch:
                         [[0.1], [7.0]], cfg)
         assert ests[0].failure is None
         assert ests[1].failure is not None and np.isnan(ests[1].value)
+
+
+def nonlinear_2d():
+    """A 2-d drift with quadratic coupling and state-dependent noise."""
+    def drift(x):
+        x = np.asarray(x, dtype=float)
+        return np.stack([-x[..., 0] + 0.5 * x[..., 1] ** 2,
+                         -2.0 * x[..., 1] + x[..., 0] * x[..., 1]], axis=-1)
+
+    def sigma(x):
+        x = np.asarray(x, dtype=float)
+        z = np.zeros_like(x[..., 0])
+        return np.stack([np.stack([0.4 + z, 0.1 * x[..., 0]], axis=-1),
+                         np.stack([z, 0.3 + z], axis=-1)], axis=-2)
+
+    sys2 = SdeSystem(dim_state=2, dim_noise=2, drift=drift, diffusion_factor=sigma)
+    return sys2, linearize(sys2)
+
+
+def pinned_cases():
+    """Batches of (problem, query points, config, expected reprs)."""
+    q5 = get_model("quadratic", sigma=0.5)
+    pos = positive_pair()
+    sys2, dec2 = nonlinear_2d()
+    dom2 = Domain(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+    pair2 = EigenPair(eigenvalue=1.0, left_eigenvector=np.array([1.0, 0.5]))
+    return {
+        # exiting and capped queries plus one exterior point
+        "mixed": ((q5.system, q5.decomp, pos, q5.domain),
+                  [[0.0], [1.1], [-1.15], [1.5], [0.6]],
+                  FkConfig(dt=0.02, n_paths=40, t_max=1.0, seed=7), [
+            "FkEstimate(value=0.012783287265717178, std_error=0.0022902395104725613, n_capped=40, mean_exit_time=nan, discount_overflow=False, n_paths=40, failure=None)",  # noqa: E501
+            "FkEstimate(value=0.08924406684593378, std_error=0.008853439122872071, n_capped=24, mean_exit_time=0.12625, discount_overflow=False, n_paths=40, failure=None)",  # noqa: E501
+            "FkEstimate(value=0.08566139161214806, std_error=0.007713032585873258, n_capped=30, mean_exit_time=0.038, discount_overflow=False, n_paths=40, failure=None)",  # noqa: E501
+            "FkEstimate(value=nan, std_error=nan, n_capped=40, mean_exit_time=nan, discount_overflow=False, n_paths=40, failure='query point [1.5] must lie strictly inside the domain')",  # noqa: E501
+            "FkEstimate(value=0.05126105087218112, std_error=0.004940943649875618, n_capped=37, mean_exit_time=0.4466666666666666, discount_overflow=False, n_paths=40, failure=None)",  # noqa: E501
+        ]),
+        "antithetic_odd": ((q5.system, q5.decomp, pos, q5.domain), [[0.3], [-1.1], [1.1]],
+                           FkConfig(dt=0.02, n_paths=31, t_max=1.0, seed=5,
+                                    antithetic=True), [
+            "FkEstimate(value=0.02340911244024062, std_error=0.0038404863527942675, n_capped=31, mean_exit_time=nan, discount_overflow=False, n_paths=31, failure=None)",  # noqa: E501
+            "FkEstimate(value=0.10453898432569533, std_error=0.005159971213800469, n_capped=30, mean_exit_time=0.18, discount_overflow=False, n_paths=31, failure=None)",  # noqa: E501
+            "FkEstimate(value=0.07659060755813668, std_error=0.008985172615302826, n_capped=17, mean_exit_time=0.12142857142857144, discount_overflow=False, n_paths=31, failure=None)",  # noqa: E501
+        ]),
+        # lambda = -1: the discount guard shortens the horizon to ~27.6 < t_max
+        "guard": ((q5.system, q5.decomp, q5.eigenpair, q5.domain), [[0.5], [1.1]],
+                  FkConfig(dt=0.05, n_paths=20, t_max=30.0, seed=1), [
+            "FkEstimate(value=21885986035.40894, std_error=5352050489.62629, n_capped=13, mean_exit_time=10.721428571428572, discount_overflow=True, n_paths=20, failure=None)",  # noqa: E501
+            "FkEstimate(value=31426930566.331505, std_error=9559690184.286108, n_capped=10, mean_exit_time=4.800000000000001, discount_overflow=True, n_paths=20, failure=None)",  # noqa: E501
+        ]),
+        "nonlinear_2d": ((sys2, dec2, pair2, dom2), [[0.2, -0.3], [0.8, 0.7], [0.9, -0.9]],
+                         FkConfig(dt=0.02, n_paths=30, t_max=1.0, seed=3), [
+            "FkEstimate(value=0.010124436664099042, std_error=0.0023972746419377296, n_capped=30, mean_exit_time=nan, discount_overflow=False, n_paths=30, failure=None)",  # noqa: E501
+            "FkEstimate(value=0.13499185839549424, std_error=0.007863116912473475, n_capped=26, mean_exit_time=0.16, discount_overflow=False, n_paths=30, failure=None)",  # noqa: E501
+            "FkEstimate(value=2.5081855830435402e-05, std_error=0.003138703135263534, n_capped=18, mean_exit_time=0.1366666666666667, discount_overflow=False, n_paths=30, failure=None)",  # noqa: E501
+        ]),
+    }
+
+
+def cubic_blowup():
+    """Drift -x + x^3 on a huge box: paths started beyond |x| = 1 overflow."""
+    sys1 = SdeSystem(dim_state=1, dim_noise=1, drift=lambda x: -x + x ** 3,
+                     diffusion_factor=constant_diffusion(np.array([[0.05]])))
+    dec = linearize(sys1, a_matrix=np.array([[-1.0]]))
+    return sys1, dec, positive_pair(), Domain(lower=[-1e300], upper=[1e300])
+
+
+class TestBatchEngine:
+    @pytest.mark.parametrize("case", ["mixed", "antithetic_odd", "guard", "nonlinear_2d"])
+    def test_pinned_values(self, case):
+        problem, pts, cfg, expected = pinned_cases()[case]
+        ests = fk_batch(*problem, pts, cfg)
+        assert [repr(e) for e in ests] == expected
+        for i, (x, est) in enumerate(zip(pts, ests)):
+            if est.failure is None:
+                alone = fk_estimate(*problem, np.array(x), cfg, query_index=i)
+                assert same_estimate(est, alone)
+            else:
+                with pytest.raises(ValueError) as err:
+                    fk_estimate(*problem, np.array(x), cfg, query_index=i)
+                assert str(err.value) == est.failure
+
+    @pytest.mark.parametrize("block_rows", [1, 45, 100])
+    def test_independent_of_block_grouping(self, monkeypatch, block_rows):
+        problem, pts, cfg, expected = pinned_cases()["mixed"]
+        monkeypatch.setattr(feynman_kac, "_BLOCK_ROWS", block_rows)
+        assert [repr(e) for e in fk_batch(*problem, pts, cfg)] == expected
+
+    def test_lone_paths_match_standalone_runs(self):
+        # with two paths per query many queries run down to one live path;
+        # BLAS rounds a one-row product differently from a row inside a
+        # larger one, so those paths must still be stepped as a standalone
+        # run steps them
+        A = np.array([[-1.1, 0.37], [0.23, -1.7]])
+
+        def drift(x):
+            x = np.asarray(x, dtype=float)
+            return x @ A.T + np.stack([0.3 * x[..., 1] ** 2, -0.2 * x[..., 0] * x[..., 1]],
+                                      axis=-1)
+
+        sys2 = SdeSystem(dim_state=2, dim_noise=2, drift=drift,
+                         diffusion_factor=constant_diffusion(np.diag([0.5, 0.4])))
+        problem = (sys2, linearize(sys2), EigenPair(0.3, np.array([0.7, 0.31])),
+                   Domain(lower=[-1.0, -1.0], upper=[1.0, 1.0],
+                          boundary_value=lambda X: 0.3 + np.atleast_2d(X)[:, 0]))
+        pts = np.random.default_rng(5).uniform(-0.95, 0.95, (10, 2))
+        cfg = FkConfig(dt=0.05, n_paths=2, t_max=10.0, seed=0)
+        ests = fk_batch(*problem, pts, cfg)
+        assert any(0 < e.n_capped < e.n_paths for e in ests)
+        for i, (x, est) in enumerate(zip(pts, ests)):
+            assert same_estimate(est, fk_estimate(*problem, x, cfg, query_index=i))
+
+    def test_one_drift_call_per_step(self, monkeypatch):
+        # sigma = 0 and lambda = +1: every path decays inward and runs all steps
+        s = get_model("quadratic", sigma=0.0)
+        cfg = FkConfig(dt=0.01, n_paths=8, t_max=0.5, seed=0)
+        calls = []
+        drift_at = SdeSystem.drift_at
+        monkeypatch.setattr(SdeSystem, "drift_at",
+                            lambda self, X: calls.append(len(X)) or drift_at(self, X))
+        ests = fk_batch(s.system, s.decomp, positive_pair(), s.domain,
+                        [[0.1], [0.5], [-0.7]], cfg)
+        assert all(e.all_capped for e in ests)
+        assert calls == [3 * cfg.n_paths] * 50
+
+    def test_blowup_fails_only_its_query(self):
+        problem = cubic_blowup()
+        cfg = FkConfig(dt=0.5, n_paths=16, t_max=5.0, seed=2)
+        pts = [[0.1], [1.9], [-0.3], [5.0]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ests = fk_batch(*problem, pts, cfg)
+            for i, (x, est) in enumerate(zip(pts, ests)):
+                if i in (1, 3):
+                    with pytest.raises(EvaluationError) as err:
+                        fk_estimate(*problem, np.array(x), cfg, query_index=i)
+                    assert est.failure == str(err.value)
+                    assert "blew up" in est.failure and np.isnan(est.value)
+                else:
+                    alone = fk_estimate(*problem, np.array(x), cfg, query_index=i)
+                    assert est.failure is None and same_estimate(est, alone)
 
 
 class TestKrrFit:
