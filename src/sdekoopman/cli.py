@@ -20,7 +20,6 @@ bitwise stability).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -110,6 +109,12 @@ def _write(path, text):
     print(f"wrote {path}")
 
 
+def _write_solution(path, sol, asys=None):
+    from .collocation import save_solution
+    save_solution(path, sol, asys)
+    print(f"wrote {path}")
+
+
 def _setup_from_config(cfg, seed):
     from .collocation import GridSpec
     from .errors import ConfigError
@@ -167,7 +172,6 @@ def _eigenfunction_curve_csv(sol, domain):
 
 
 def cmd_solve(args) -> int:
-    from .collocation import solution_to_json_dict
     from .config import load_config
     from .validation import reports_to_csv, solve_and_report
 
@@ -178,8 +182,7 @@ def cmd_solve(args) -> int:
     sol, asys, report = solve_and_report(setup, seed, fk=fk,
                                          metrics=cfg.wanted_metrics())
     out = _outdir(args, cfg)
-    _write(os.path.join(out, "solution.json"),
-           json.dumps(solution_to_json_dict(sol, asys)) + "\n")
+    _write_solution(os.path.join(out, "solution.json"), sol, asys)
     _write(os.path.join(out, "report.csv"), reports_to_csv([report]))
     _write(os.path.join(out, "eigenfunction_curve.csv"),
            _eigenfunction_curve_csv(sol, setup.domain))
@@ -216,7 +219,7 @@ def _read_queries(path, dim):
 
 
 def cmd_fk(args) -> int:
-    from .collocation import CollocationGrid, solution_to_json_dict
+    from .collocation import CollocationGrid
     from .config import load_config
     from .errors import SdeKoopmanError
     from .feynman_kac import estimates_to_csv, fk_batch, krr_fit
@@ -247,8 +250,7 @@ def cmd_fk(args) -> int:
         fitted = krr_fit(kern, CollocationGrid(points=queries), values, args.eta,
                          eigenpair=setup.eigenpair,
                          equilibrium=setup.decomp.equilibrium)
-        _write(os.path.join(out, "fitted_solution.json"),
-               json.dumps(solution_to_json_dict(fitted)) + "\n")
+        _write_solution(os.path.join(out, "fitted_solution.json"), fitted)
     return EXIT_OK
 
 

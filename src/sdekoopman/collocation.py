@@ -301,28 +301,35 @@ def residual_test_points(domain: Domain, expand: float = 0.25,
 
 # --- JSON serialization -----------------------------------------------------
 #
-# Schema (all arrays as nested lists):
+# Schema, in this key order (arrays as nested lists):
 #   lengthscale, lambda, w, gamma, grid, coefficients   -- always present
 #   gram, drift, diffusion, source                      -- when assembled
 #     system is attached
 
 
+def _solution_fields(sol: CollocationSolution,
+                     asys: Optional[AssembledSystem] = None) -> list:
+    """The document's (key, value) pairs in order; arrays as float64."""
+    fields = [
+        ("lengthscale", sol.kernel.lengthscale),
+        ("lambda", sol.eigenpair.eigenvalue),
+        ("w", sol.eigenpair.left_eigenvector),
+        ("gamma", asys.regularization if asys is not None else None),
+        ("grid", sol.grid.points),
+        ("coefficients", sol.coefficients),
+    ]
+    if asys is not None:
+        fields += [("gram", asys.gram), ("drift", asys.drift_mat),
+                   ("diffusion", asys.diff_mat), ("source", asys.source)]
+    return [(key, np.asarray(value, dtype=float) if isinstance(value, np.ndarray) else value)
+            for key, value in fields]
+
+
 def solution_to_json_dict(sol: CollocationSolution,
                           asys: Optional[AssembledSystem] = None) -> dict:
-    doc = {
-        "lengthscale": sol.kernel.lengthscale,
-        "lambda": sol.eigenpair.eigenvalue,
-        "w": sol.eigenpair.left_eigenvector.tolist(),
-        "gamma": asys.regularization if asys is not None else None,
-        "grid": sol.grid.points.tolist(),
-        "coefficients": sol.coefficients.tolist(),
-    }
-    if asys is not None:
-        doc["gram"] = asys.gram.tolist()
-        doc["drift"] = asys.drift_mat.tolist()
-        doc["diffusion"] = asys.diff_mat.tolist()
-        doc["source"] = asys.source.tolist()
-    return doc
+    """The solution document as nested lists; :func:`save_solution` writes its JSON."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in _solution_fields(sol, asys)}
 
 
 def solution_from_json_dict(doc: dict) -> CollocationSolution:
@@ -336,9 +343,52 @@ def solution_from_json_dict(doc: dict) -> CollocationSolution:
     )
 
 
+def _json_array_chunks(a: Array):
+    """Yield the text ``json.dumps(a.tolist())`` writes, one leading-axis row at a time.
+
+    Each distinct float64 bit pattern (so -0.0 stays apart from 0.0) is
+    spelled once, as ``json.dumps`` spells it: ``float.__repr__`` for finite
+    values, ``NaN``/``Infinity``/``-Infinity`` otherwise.  Kernel matrices
+    repeat few values, so this formats far fewer floats than there are
+    entries.
+    """
+    bits, inverse = np.unique(np.ascontiguousarray(a).view(np.uint64).ravel(),
+                              return_inverse=True)
+    values = bits.view(np.float64)
+    text = list(map(float.__repr__, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)):
+        text[i] = json.dumps(float(values[i]))
+    text = np.array(text, dtype=object)
+    inverse = inverse.reshape(a.shape)
+
+    def nested(idx):
+        items = text[idx].tolist() if idx.ndim == 1 else map(nested, idx)
+        return "[" + ", ".join(items) + "]"
+
+    if a.ndim == 1:
+        yield nested(inverse)
+        return
+    yield "["
+    for i, row in enumerate(inverse):
+        yield (", " if i else "") + nested(row)
+    yield "]"
+
+
 def save_solution(path, sol: CollocationSolution, asys: Optional[AssembledSystem] = None):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(solution_to_json_dict(sol, asys), fh)
+    """Write the solution document, byte for byte ``json.dumps(...) + "\\n"``.
+
+    The document is streamed key by key and row by row (see
+    :func:`_json_array_chunks`), so no nested lists of Python floats and no
+    whole-document string are built.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for i, (key, value) in enumerate(_solution_fields(sol, asys)):
+            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            if isinstance(value, np.ndarray):
+                fh.writelines(_json_array_chunks(value))
+            else:
+                fh.write(json.dumps(value))
+        fh.write("}\n")
 
 
 def load_solution(path) -> CollocationSolution:

@@ -23,6 +23,9 @@ from .models import Domain, halton_points
 
 Array = np.ndarray
 
+# Cap on the (rows, N, d) difference tensor that eval_matrix holds at once.
+_CHUNK_BYTES = 8 << 20
+
 
 def _pair(x, y):
     x = np.asarray(x, dtype=float)
@@ -51,11 +54,19 @@ class GaussianKernel:
     __call__ = eval
 
     def eval_matrix(self, X: Array, Y: Array) -> Array:
-        """Pairwise kernel matrix for rows of X against rows of Y."""
+        """Pairwise kernel matrix for rows of X against rows of Y.
+
+        Filled in row chunks so the difference tensor stays under
+        ``_CHUNK_BYTES``; every entry is the same expression as unchunked.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        sq = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
-        return np.exp(-sq / (2.0 * self.lengthscale**2))
+        out = np.empty((X.shape[0], Y.shape[0]))
+        rows = max(1, _CHUNK_BYTES // max(1, 8 * Y.size))
+        for i in range(0, X.shape[0], rows):
+            sq = ((X[i:i + rows, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+            np.exp(-sq / (2.0 * self.lengthscale**2), out=out[i:i + rows])
+        return out
 
     def grad_x(self, x: Array, y: Array) -> Array:
         """Gradient in the first argument."""

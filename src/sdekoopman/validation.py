@@ -229,12 +229,6 @@ def solve_and_report(setup: ModelSetup, seed: int, fk: Optional[FkConfig] = None
     return sol, asys, report
 
 
-def _run_setup(setup: ModelSetup, seed: int, fk: Optional[FkConfig] = None,
-               with_semigroup: bool = True, label: Optional[str] = None) -> ExperimentReport:
-    metrics = ("semigroup", "rmse") if with_semigroup else ()
-    return solve_and_report(setup, seed, fk=fk, label=label, metrics=metrics)[2]
-
-
 def conditioning_sweep(sigmas, fk: Optional[FkConfig] = None,
                        seed: Optional[int] = None) -> list[ExperimentReport]:
     """Full pipeline for the quadratic model across noise levels.
@@ -248,7 +242,8 @@ def conditioning_sweep(sigmas, fk: Optional[FkConfig] = None,
         if s < 0:
             raise ValueError("sigma values must be nonnegative")
         setup = get_model("quadratic", sigma=s)
-        rows.append(_run_setup(setup, seed, fk=fk, label=f"quadratic sigma={s:g}"))
+        rows.append(solve_and_report(setup, seed, fk=fk,
+                                     label=f"quadratic sigma={s:g}")[2])
     return rows
 
 
@@ -275,8 +270,8 @@ def run_experiment(name: str, seed: Optional[int] = None,
     setup = get_model(base, **params).with_overrides(**overrides)
     # the degenerate demo has no exact solution and reports only
     # conditioning and residuals
-    with_semigroup = name != "langevin_demo"
-    return _run_setup(setup, seed, fk=fk, with_semigroup=with_semigroup)
+    metrics = () if name == "langevin_demo" else ("semigroup", "rmse")
+    return solve_and_report(setup, seed, fk=fk, metrics=metrics)[2]
 
 
 def _within_factor(value: float, ref: float, factor: float = COND_FACTOR) -> bool:

@@ -7,7 +7,8 @@ from sdekoopman import (AssembledSystem, CollocationGrid, CollocationSolution,
                         Domain, GaussianKernel, GridSpec, assemble, get_model,
                         make_grid, pde_residual, residual_test_points, solve,
                         solve_system)
-from sdekoopman.collocation import (solution_from_json_dict,
+from sdekoopman.collocation import (load_solution, save_solution,
+                                    solution_from_json_dict,
                                     solution_to_json_dict)
 from sdekoopman.errors import AssemblyError, SingularSystemError
 from sdekoopman.models import SdeSystem, linearize
@@ -286,6 +287,54 @@ class TestSerialization:
         assert np.array_equal(np.asarray(doc["gram"]), asys.gram)
         assert np.array_equal(np.asarray(doc["source"]), asys.source)
         assert doc["gamma"] == asys.regularization
+
+
+class TestSaveSolution:
+    """save_solution writes exactly ``json.dumps(solution_to_json_dict(...)) + "\\n"``."""
+
+    @staticmethod
+    def _assert_same_bytes(tmp_path, sol, asys):
+        path = tmp_path / "solution.json"
+        save_solution(path, sol, asys)
+        expected = json.dumps(solution_to_json_dict(sol, asys)) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
+        return path
+
+    @pytest.mark.parametrize("with_asys", [True, False])
+    def test_same_bytes_1d(self, tmp_path, quadratic_solution, with_asys):
+        sol, asys, _ = quadratic_solution
+        self._assert_same_bytes(tmp_path, sol, asys if with_asys else None)
+
+    @pytest.mark.parametrize("with_asys", [True, False])
+    def test_same_bytes_2d(self, tmp_path, linear2d_setup, with_asys):
+        s = linear2d_setup
+        grid = make_grid(s.domain, GridSpec("tensor", 6))
+        sol, asys, _ = solve_system(s.system, s.decomp, s.eigenpair,
+                                    GaussianKernel(s.lengthscale), grid, s.gamma)
+        self._assert_same_bytes(tmp_path, sol, asys if with_asys else None)
+
+    def test_same_bytes_special_values(self, tmp_path, quadratic_solution):
+        sol, _, _ = quadratic_solution
+        n = sol.grid.n_points
+        special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e+16, 1e22, 0.1,
+                            -0.1, 1.0, 1.0, -0.0, np.nan, np.inf, -np.inf, 0.0])
+        mat = np.resize(special, (n, n))
+        asys = AssembledSystem(gram=mat, drift_mat=mat.T.copy(), diff_mat=-mat,
+                               source=np.resize(special[::-1], n),
+                               system_matrix=mat, regularization=1e-05)
+        self._assert_same_bytes(tmp_path, sol, asys)
+        text = (tmp_path / "solution.json").read_text()
+        for spelling in ("-0.0, ", "5e-324", "1e-05", "1e+16", "1e+22",
+                         "NaN", "-Infinity"):
+            assert spelling in text
+
+    def test_load_round_trip(self, tmp_path, quadratic_solution):
+        sol, asys, _ = quadratic_solution
+        restored = load_solution(self._assert_same_bytes(tmp_path, sol, asys))
+        xs = np.linspace(-1.1, 1.1, 13)[:, None]
+        assert np.array_equal(restored.coefficients, sol.coefficients)
+        assert np.array_equal(restored.grid.points, sol.grid.points)
+        assert np.array_equal(restored.eval_phi(xs), sol.eval_phi(xs))
 
 
 def _sol_pair(asys):

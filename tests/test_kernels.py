@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import (fd_directional_second, fd_grad, fd_hessian,
                      random_kernel_cases, random_spd_matrix)
+import sdekoopman.kernels as kernels
 from sdekoopman import Domain, GaussianKernel, fill_distance, power_function
 from sdekoopman.errors import SingularSystemError
 
@@ -57,6 +58,22 @@ class TestEval:
         assert k.eval(x + s, y + s) == pytest.approx(k.eval(x, y), abs=1e-14)
         assert np.allclose(k.grad_x(x + s, y + s), k.grad_x(x, y), atol=1e-14)
         assert np.allclose(k.hessian_x(x + s, y + s), k.hessian_x(x, y), atol=1e-14)
+
+
+class TestEvalMatrixChunks:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("chunk_rows", [1, 7])
+    def test_bitwise_equal_to_one_shot(self, monkeypatch, dim, chunk_rows):
+        gen = np.random.default_rng(dim)
+        X = gen.uniform(-2.0, 2.0, (30, dim))  # 30 rows: not a multiple of 7
+        Y = gen.uniform(-2.0, 2.0, (11, dim))
+        k = GaussianKernel(0.7)
+        one_shot = np.exp(-((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+                          / (2.0 * k.lengthscale**2))
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_rows * 8 * Y.size)
+        chunked = k.eval_matrix(X, Y)
+        assert chunked.shape == (30, 11)
+        assert np.array_equal(chunked.view(np.uint64), one_shot.view(np.uint64))
 
 
 class TestDerivatives:
