@@ -115,11 +115,15 @@ def _write_solution(path, sol, asys=None):
     print(f"wrote {path}")
 
 
-def _setup_from_config(cfg, seed):
+def _load_run(args):
+    """Config, seed, model setup and FK settings of a config-driven command."""
     from .collocation import GridSpec
+    from .config import load_config
     from .errors import ConfigError
     from .registry import get_model
 
+    cfg = load_config(args.config)
+    seed = cfg.effective_seed(args.seed)
     try:
         setup = get_model(cfg.model_name, **cfg.model_params)
     except (KeyError, TypeError) as exc:
@@ -136,7 +140,7 @@ def _setup_from_config(cfg, seed):
                                      lambda_select=cfg.lambda_select)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    return setup
+    return cfg, seed, setup, _fk_config(cfg, seed)
 
 
 def _fk_config(cfg, seed):
@@ -152,33 +156,21 @@ def _fk_config(cfg, seed):
 
 
 def _eigenfunction_curve_csv(sol, domain):
-    import numpy as np
+    from .models import tensor_points
+
+    pts = tensor_points(domain.lower, domain.upper, 200 if domain.dim == 1 else 20)
     if domain.dim == 1:
-        xs = np.linspace(domain.lower[0], domain.upper[0], 200)[:, None]
-        lines = ["x,phi,h"]
-        phi = sol.eval_phi(xs)
-        h = sol.eval_h(xs)
-        for x, p, hh in zip(xs[:, 0], phi, h):
-            lines.append(f"{float(x)!r},{float(p)!r},{float(hh)!r}")
+        header, cols = "x,phi,h", [pts[:, 0], sol.eval_phi(pts), sol.eval_h(pts)]
     else:
-        g1 = np.linspace(domain.lower[0], domain.upper[0], 20)
-        g2 = np.linspace(domain.lower[1], domain.upper[1], 20)
-        pts = np.array([[a, b] for a in g1 for b in g2])
-        phi = sol.eval_phi(pts)
-        lines = ["x1,x2,phi"]
-        for (a, b), p in zip(pts, phi):
-            lines.append(f"{float(a)!r},{float(b)!r},{float(p)!r}")
-    return "\n".join(lines) + "\n"
+        header, cols = "x1,x2,phi", [pts[:, 0], pts[:, 1], sol.eval_phi(pts)]
+    rows = (",".join(repr(float(v)) for v in row) for row in zip(*cols))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def cmd_solve(args) -> int:
-    from .config import load_config
     from .validation import reports_to_csv, solve_and_report
 
-    cfg = load_config(args.config)
-    seed = cfg.effective_seed(args.seed)
-    setup = _setup_from_config(cfg, seed)
-    fk = _fk_config(cfg, seed)
+    cfg, seed, setup, fk = _load_run(args)
     sol, asys, report = solve_and_report(setup, seed, fk=fk,
                                          metrics=cfg.wanted_metrics())
     out = _outdir(args, cfg)
@@ -220,15 +212,11 @@ def _read_queries(path, dim):
 
 def cmd_fk(args) -> int:
     from .collocation import CollocationGrid
-    from .config import load_config
     from .errors import SdeKoopmanError
     from .feynman_kac import estimates_to_csv, fk_batch, krr_fit
     from .kernels import GaussianKernel
 
-    cfg = load_config(args.config)
-    seed = cfg.effective_seed(args.seed)
-    setup = _setup_from_config(cfg, seed)
-    fk = _fk_config(cfg, seed)
+    cfg, _, setup, fk = _load_run(args)
     queries = _read_queries(args.queries, setup.system.dim_state)
 
     estimates = fk_batch(setup.system, setup.decomp, setup.eigenpair,
@@ -282,14 +270,10 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_semigroup_curve(args) -> int:
-    from .config import load_config
     from .errors import ConfigError
     from .validation import semigroup_curve, solve_and_report
 
-    cfg = load_config(args.config)
-    seed = cfg.effective_seed(args.seed)
-    setup = _setup_from_config(cfg, seed)
-    fk = _fk_config(cfg, seed)
+    cfg, seed, setup, fk = _load_run(args)
     try:
         t_list = [float(t) for t in args.t_list.split(",") if t.strip()]
     except ValueError:

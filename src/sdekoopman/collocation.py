@@ -18,15 +18,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.stats import qmc
 
 from .errors import AssemblyError, SingularSystemError
 from .kernels import GaussianKernel
-from .models import Domain, EigenPair, LinearDecomposition, SdeSystem
+from .models import Domain, EigenPair, LinearDecomposition, SdeSystem, tensor_points
 
 Array = np.ndarray
 
 GRID_KINDS = ("uniform_1d", "tensor", "sobol")
+
+# Rows of K(x, nodes) that eval_h holds at once; a multiple of 4, so each chunk's
+# product with the coefficients rounds as the unchunked one (gemv blocks 4 rows).
+_EVAL_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -56,10 +61,9 @@ class CollocationGrid:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if not np.all(np.isfinite(pts)):
             raise ValueError("grid points must be finite")
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-        np.fill_diagonal(d2, np.inf)
-        if d2.min() <= 1e-12**2:
-            i, j = np.unravel_index(int(d2.argmin()), d2.shape)
+        close = cKDTree(pts).query_pairs(1e-12)
+        if close:
+            i, j = min(close)
             raise ValueError(f"grid points {i} and {j} coincide")
         object.__setattr__(self, "points", pts)
 
@@ -75,14 +79,10 @@ class CollocationGrid:
 def make_grid(domain: Domain, spec: GridSpec) -> CollocationGrid:
     """Build a collocation grid spanning the domain box (boundary inclusive)."""
     d = domain.dim
-    if spec.kind == "uniform_1d":
-        if d != 1:
+    if spec.kind in ("uniform_1d", "tensor"):
+        if spec.kind == "uniform_1d" and d != 1:
             raise ValueError("uniform_1d requires a 1-dimensional domain")
-        pts = np.linspace(domain.lower[0], domain.upper[0], spec.n)[:, None]
-    elif spec.kind == "tensor":
-        axes = [np.linspace(domain.lower[i], domain.upper[i], spec.n) for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+        pts = tensor_points(domain.lower, domain.upper, spec.n)
     else:  # sobol
         sampler = qmc.Sobol(d=d, scramble=False)
         n_pow2 = 1 << max(1, int(np.ceil(np.log2(spec.n))))
@@ -107,6 +107,14 @@ class AssembledSystem:
     @property
     def n_points(self) -> int:
         return self.source.size
+
+
+def _half_trace_term(K: Array, diff: Array, a: Array, l2: float) -> Array:
+    """``(1/2) Tr[a(x_i) hess_x k(x_i, y_j)]`` from ``K``, ``diff[i, j] = x_i - y_j``,
+    ``a`` stacked (n, d, d) and the squared lengthscale ``l2``; shape (n, N)."""
+    quad = np.einsum("ijd,ide,ije->ij", diff, a, diff)
+    tr = np.einsum("idd->i", a)
+    return 0.5 * K * (quad / l2**2 - tr[:, None] / l2)
 
 
 def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
@@ -136,10 +144,7 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
         sq_norms = (S**2).sum(axis=(1, 2))  # Tr[a(x_i)]
         D = 0.5 * K * ((proj**2).sum(axis=2) / l2**2 - sq_norms[:, None] / l2)
     else:
-        a = np.einsum("idm,iem->ide", S, S)  # a(x_i) = sigma sigma^T
-        quad = np.einsum("ijd,ide,ije->ij", diff, a, diff)
-        tr = np.einsum("idd->i", a)
-        D = 0.5 * K * (quad / l2**2 - tr[:, None] / l2)
+        D = _half_trace_term(K, diff, np.einsum("idm,iem->ide", S, S), l2)
 
     f = decomp.nonlinear_at(X) @ eigenpair.left_eigenvector
     M = L + D - eigenpair.eigenvalue * K + gamma * np.eye(N)
@@ -204,41 +209,25 @@ class CollocationSolution:
                   else np.zeros(self.grid.dim))
         object.__setattr__(self, "equilibrium", np.asarray(eq, dtype=float))
 
-    def _krow(self, X):
-        return self.kernel.eval_matrix(np.atleast_2d(X), self.grid.points)
-
     def eval_h(self, x: Array):
-        """Nonlinear correction ``h(x) = sum_j alpha_j k(x, x_j)``; batched."""
+        """Nonlinear correction ``h(x) = sum_j alpha_j k(x, x_j)``; batched.
+
+        The kernel rows are formed ``_EVAL_ROWS`` at a time.
+        """
         x = np.asarray(x, dtype=float)
-        vals = self._krow(x) @ self.coefficients
+        X = np.atleast_2d(x)
+        vals = np.empty(X.shape[0])
+        for i in range(0, X.shape[0], _EVAL_ROWS):
+            K = self.kernel.eval_matrix(X[i:i + _EVAL_ROWS], self.grid.points)
+            vals[i:i + _EVAL_ROWS] = K @ self.coefficients
         return float(vals[0]) if x.ndim == 1 else vals
 
     def eval_phi(self, x: Array):
         """Eigenfunction ``phi(x) = w^T (x - x*) + h(x)``; batched."""
         x = np.asarray(x, dtype=float)
-        w = self.eigenpair.left_eigenvector
-        lin = (np.atleast_2d(x) - self.equilibrium) @ w
-        vals = lin + self._krow(x) @ self.coefficients
+        X = np.atleast_2d(x)
+        vals = (X - self.equilibrium) @ self.eigenpair.left_eigenvector + self.eval_h(X)
         return float(vals[0]) if x.ndim == 1 else vals
-
-    def grad_h(self, X: Array) -> Array:
-        """Exact gradient of h at each row of X, shape (n, d)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        diff = X[:, None, :] - self.grid.points[None, :, :]
-        Kx = self._krow(X)
-        l2 = self.kernel.lengthscale**2
-        return -np.einsum("njd,nj,j->nd", diff, Kx, self.coefficients) / l2
-
-    def hessian_trace_h(self, X: Array, a_all: Array) -> Array:
-        """``Tr[a(x) hess h(x)]`` at each row of X given a(x) stacked (n, d, d)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        diff = X[:, None, :] - self.grid.points[None, :, :]
-        Kx = self._krow(X)
-        l2 = self.kernel.lengthscale**2
-        quad = np.einsum("njd,nde,nje->nj", diff, a_all, diff)
-        tr = np.einsum("ndd->n", a_all)
-        per_node = Kx * (quad / l2**2 - tr[:, None] / l2)
-        return per_node @ self.coefficients
 
 
 def solve_system(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
@@ -274,9 +263,14 @@ def pde_residual(sol: CollocationSolution, system: SdeSystem, test_points) -> Re
     a_all = np.einsum("ndm,nem->nde", S, S)
     w = sol.eigenpair.left_eigenvector
     lam = sol.eigenpair.eigenvalue
-    grad_phi = w[None, :] + sol.grad_h(X)
-    phi = sol.eval_phi(X)
-    r = np.einsum("nd,nd->n", G, grad_phi) + 0.5 * sol.hessian_trace_h(X, a_all) - lam * phi
+    alpha = sol.coefficients
+    l2 = sol.kernel.lengthscale**2
+    K = sol.kernel.eval_matrix(X, sol.grid.points)
+    diff = X[:, None, :] - sol.grid.points[None, :, :]
+    grad_phi = w[None, :] - np.einsum("njd,nj,j->nd", diff, K, alpha) / l2
+    phi = (X - sol.equilibrium) @ w + K @ alpha
+    r = (np.einsum("nd,nd->n", G, grad_phi) + _half_trace_term(K, diff, a_all, l2) @ alpha
+         - lam * phi)
     r = np.abs(r)
     return ResidualStats(mean=float(r.mean()), max=float(r.max()), per_point=r)
 
@@ -291,12 +285,7 @@ def residual_test_points(domain: Domain, expand: float = 0.25,
     """
     center = 0.5 * (domain.lower + domain.upper)
     half = 0.5 * (domain.upper - domain.lower) * (1.0 + expand)
-    lo, hi = center - half, center + half
-    if domain.dim == 1:
-        return np.linspace(lo[0], hi[0], n_1d)[:, None]
-    axes = [np.linspace(lo[i], hi[i], n_per_axis) for i in range(domain.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return tensor_points(center - half, center + half, n_1d if domain.dim == 1 else n_per_axis)
 
 
 # --- JSON serialization -----------------------------------------------------

@@ -31,12 +31,6 @@ CONFIG_SCHEMA = {
 }
 
 _FK_KEYS = ("dt", "n_paths", "t_max", "seed", "antithetic")
-_MODEL_PARAM_KEYS = {
-    "ou": ("theta", "sigma"),
-    "quadratic": ("sigma",),
-    "linear2d": (),
-    "langevin": ("gamma", "beta"),
-}
 _GRID_KEYS = ("kind", "n")
 
 
@@ -76,10 +70,11 @@ class RunConfig:
             params = {k: v for k, v in model.items() if k != "name"}
         else:
             raise ConfigError("'model' must be a name or an object")
-        if name not in _MODEL_PARAM_KEYS:
+        from .registry import MODEL_NAMES, MODEL_PARAMS
+        if name not in MODEL_PARAMS:
             raise ConfigError(f"unknown model '{name}'; registered: "
-                              f"{', '.join(sorted(_MODEL_PARAM_KEYS))}")
-        _reject_unknown(params, _MODEL_PARAM_KEYS[name], f"model '{name}'")
+                              f"{', '.join(MODEL_NAMES)}")
+        _reject_unknown(params, MODEL_PARAMS[name], f"model '{name}'")
 
         grid = doc.get("grid_spec")
         if grid is not None:

@@ -30,7 +30,7 @@ unreliable (``all_capped``).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -358,9 +358,7 @@ def mc_convergence_probe(system: SdeSystem, decomp: LinearDecomposition,
         raise ValueError("path_counts must be strictly increasing")
     rows = []
     for K in counts:
-        est = fk_estimate(system, decomp, eigenpair, domain, x,
-                          FkConfig(dt=cfg.dt, n_paths=int(K), t_max=cfg.t_max,
-                                   seed=cfg.seed, antithetic=cfg.antithetic))
+        est = fk_estimate(system, decomp, eigenpair, domain, x, replace(cfg, n_paths=int(K)))
         rows.append({"n_paths": int(K), "value": est.value, "std_error": est.std_error})
     return rows
 

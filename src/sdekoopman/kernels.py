@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystemError
-from .models import Domain, halton_points
+from .models import Domain, halton_points, tensor_points
 
 Array = np.ndarray
 
@@ -179,9 +179,7 @@ def fill_distance(grid, domain: Domain, n_probe: int = 100_000) -> float:
         raise ValueError("grid must be non-empty")
     probes = halton_points(domain, n_probe)
     if 2**domain.dim <= 4096:
-        corners = np.stack(np.meshgrid(*zip(domain.lower, domain.upper), indexing="ij"),
-                           axis=-1).reshape(-1, domain.dim)
-        probes = np.vstack([probes, corners])
+        probes = np.vstack([probes, tensor_points(domain.lower, domain.upper, 2)])
     # chunked nearest-node distances to bound memory
     best = 0.0
     for chunk in np.array_split(probes, max(1, probes.shape[0] // 4096)):

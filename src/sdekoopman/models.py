@@ -180,6 +180,13 @@ class Domain:
         return np.asarray(self.boundary_value(X), dtype=float).reshape(X.shape[0])
 
 
+def tensor_points(lower, upper, n: int) -> Array:
+    """The uniform tensor grid on the box, ``n`` points per axis with both ends
+    included, shape (n**d, d); the first axis varies slowest."""
+    axes = [np.linspace(lo, hi, n) for lo, hi in zip(lower, upper)]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def halton_points(domain: Domain, n: int) -> Array:
     """Deterministic quasi-random probe points filling the box."""
     if n < 1:
@@ -296,9 +303,7 @@ def lambda_threshold(system: SdeSystem, domain: Domain, grid_per_axis: int = 64)
     if grid_per_axis < 2:
         raise ValueError("grid_per_axis must be >= 2")
     d = domain.dim
-    axes = [np.linspace(domain.lower[i], domain.upper[i], grid_per_axis) for i in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=1)
+    X = tensor_points(domain.lower, domain.upper, grid_per_axis)
     h = 1e-5
     div = np.zeros(X.shape[0])
     for i in range(d):

@@ -21,6 +21,7 @@ used by the corresponding benchmark experiment.  Registered names:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -171,6 +172,8 @@ _BUILDERS = {
 }
 
 MODEL_NAMES = tuple(sorted(_BUILDERS))
+MODEL_PARAMS = {name: tuple(inspect.signature(builder).parameters)
+                for name, builder in _BUILDERS.items()}
 
 
 def get_model(name: str, **params) -> ModelSetup:

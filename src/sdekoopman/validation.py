@@ -21,7 +21,7 @@ from .collocation import (make_grid, pde_residual, residual_test_points,
                           solve_system)
 from .feynman_kac import FkConfig, fk_estimate, simulate_terminal
 from .kernels import GaussianKernel
-from .models import Domain, EigenPair, LinearDecomposition, SdeSystem, halton_points
+from .models import Domain, EigenPair, LinearDecomposition, SdeSystem, halton_points, tensor_points
 from .registry import ModelSetup, get_model
 
 Array = np.ndarray
@@ -66,19 +66,14 @@ def semigroup_check(system: SdeSystem, phi: Callable, lam: float, x0: Array,
     """Monte Carlo test of ``E[phi(X_t)] = e^{lambda t} phi(x0)``.
 
     Paths run the full horizon without exit stopping (the identity is for the
-    unstopped process).  ``phi`` must accept a batch of states.
+    unstopped process).  ``phi`` must accept a batch of states.  This is the
+    one-horizon case of :func:`semigroup_curve`.
     """
-    x0 = np.asarray(x0, dtype=float)
-    pred_base = float(np.atleast_1d(phi(x0[None, :]))[0])
-    if abs(pred_base) < 1e-300:
-        raise ValueError("phi(x0) = 0; pick a start point where phi does not vanish")
     if t < cfg.dt:
         raise ValueError("t must be at least one time step")
-    X = simulate_terminal(system, x0, t, cfg, stream=stream)
-    mc_mean = float(np.mean(phi(X)))
-    prediction = float(np.exp(lam * t) * pred_base)
-    rel = abs(mc_mean - prediction) / abs(prediction)
-    return SemigroupResult(relative_error=rel, mc_mean=mc_mean, prediction=prediction)
+    row, = semigroup_curve(system, phi, lam, x0, [t], cfg, stream=stream)
+    return SemigroupResult(relative_error=row["rel_error"], mc_mean=row["mc_mean"],
+                           prediction=row["prediction"])
 
 
 def semigroup_curve(system: SdeSystem, phi: Callable, lam: float, x0: Array,
@@ -125,9 +120,7 @@ def boundary_points(domain: Domain, n_per_face: int = 128) -> Array:
         for val in (domain.lower[axis], domain.upper[axis]):
             face = np.insert(sheet, axis, val, axis=1)
             faces.append(face)
-    corners = np.stack(np.meshgrid(*zip(domain.lower, domain.upper), indexing="ij"),
-                       axis=-1).reshape(-1, d)
-    return np.vstack(faces + [corners])
+    return np.vstack(faces + [tensor_points(domain.lower, domain.upper, 2)])
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,15 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="coincide"):
             CollocationGrid(points=np.array([[0.0], [1.0], [0.0]]))
 
+    def test_near_coincident_pair_in_2d_rejected(self):
+        pts = make_grid(Domain(lower=[0.0, 0.0], upper=[1.0, 1.0]),
+                        GridSpec("tensor", 5)).points.copy()
+        pts[17] = pts[6] + np.array([3e-13, -4e-13])  # 5e-13 apart
+        with pytest.raises(ValueError, match="grid points 6 and 17 coincide"):
+            CollocationGrid(points=pts)
+        pts[17] = pts[6] + np.array([2e-12, 0.0])
+        assert CollocationGrid(points=pts).n_points == 25
+
 
 def ou_assembled():
     s = get_model("ou")
