@@ -11,8 +11,10 @@ Subcommands::
     semigroup-curve  E[phi(X_t)] vs e^{lambda t} phi(x0) over a time grid
     sweep            quadratic-model conditioning sweep over noise levels
 
-Exit codes: 0 ok, 1 benchmark band failed (reproduce), 2 config/input error,
-3 numerical failure.  Identical invocations (same seed) produce byte-identical
+Exit codes: 0 ok, 1 benchmark band failed (reproduce), 2 config/input error
+(``ConfigError`` or any other ``ValueError``), 3 numerical failure (any other
+``SdeKoopmanError`` or ``LinAlgError``); ``main`` maps exception types to
+codes in one place.  Identical invocations (same seed) produce byte-identical
 output files; ``--threads`` never changes results (BLAS pools are pinned for
 bitwise stability).
 """
@@ -43,6 +45,8 @@ def _schema_epilog():
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .validation import EXPERIMENTS  # heavy: main() pins BLAS first
+
     parser = argparse.ArgumentParser(
         prog="sdekoopman",
         description="Koopman eigenfunctions of Ito SDEs by kernel collocation "
@@ -50,7 +54,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    epilog = _schema_epilog()
+
+    def command(name, handler, help, config_required=True, schema=True):
+        p = sub.add_parser(name, help=help, epilog=epilog if schema else None,
+                           formatter_class=argparse.RawDescriptionHelpFormatter)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=config_required,
                        help="path to a JSON run configuration")
         p.add_argument("--seed", type=int, default=None,
@@ -59,16 +68,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (default: config output_dir or '.')")
         p.add_argument("--threads", type=int, default=1,
                        help="worker hint; must not and does not change results")
+        return p
 
-    p = sub.add_parser("solve", epilog=_schema_epilog(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter,
-                       help="solve the collocation system and report metrics")
-    common(p)
+    command("solve", cmd_solve, "solve the collocation system and report metrics")
 
-    p = sub.add_parser("fk", epilog=_schema_epilog(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter,
-                       help="Monte Carlo estimates at query points")
-    common(p)
+    p = command("fk", cmd_fk, "Monte Carlo estimates at query points")
     p.add_argument("--queries", required=True,
                    help="CSV of query points, one point per row")
     p.add_argument("--fit", action="store_true",
@@ -76,21 +80,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, default=1e-4,
                    help="ridge parameter for --fit (default 1e-4)")
 
-    p = sub.add_parser("reproduce", help="rerun the benchmark experiments")
-    p.add_argument("which", choices=["all", "test1", "test2", "test3"])
-    common(p, config_required=False)
+    p = command("reproduce", cmd_reproduce, "rerun the benchmark experiments",
+                config_required=False, schema=False)
+    p.add_argument("which", choices=["all", *(n.split("_")[0] for n in EXPERIMENTS)])
 
-    p = sub.add_parser("semigroup-curve", epilog=_schema_epilog(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter,
-                       help="semigroup verification over a time grid")
-    common(p)
+    p = command("semigroup-curve", cmd_semigroup_curve,
+                "semigroup verification over a time grid")
     p.add_argument("--t-list", required=True,
                    help="comma-separated horizons, e.g. '0.1,0.2,0.5'")
 
-    p = sub.add_parser("sweep", epilog=_schema_epilog(),
-                       formatter_class=argparse.RawDescriptionHelpFormatter,
-                       help="conditioning sweep of the quadratic model")
-    common(p, config_required=False)
+    p = command("sweep", cmd_sweep, "conditioning sweep of the quadratic model",
+                config_required=False)
     p.add_argument("--sigmas", required=True,
                    help="comma-separated noise levels, e.g. '0,0.3,0.5'")
 
@@ -128,18 +128,10 @@ def _load_run(args):
         setup = get_model(cfg.model_name, **cfg.model_params)
     except (KeyError, TypeError) as exc:
         raise ConfigError(str(exc))
-    grid_spec = None
-    if cfg.grid_spec is not None:
-        try:
-            grid_spec = GridSpec(kind=cfg.grid_spec["kind"], n=cfg.grid_spec["n"])
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    try:
-        setup = setup.with_overrides(lengthscale=cfg.kernel_lengthscale,
-                                     grid_spec=grid_spec, gamma=cfg.gamma,
-                                     lambda_select=cfg.lambda_select)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    grid_spec = None if cfg.grid_spec is None else GridSpec(**cfg.grid_spec)
+    setup = setup.with_overrides(lengthscale=cfg.kernel_lengthscale,
+                                 grid_spec=grid_spec, gamma=cfg.gamma,
+                                 lambda_select=cfg.lambda_select)
     return cfg, seed, setup, _fk_config(cfg, seed)
 
 
@@ -230,9 +222,6 @@ def cmd_fk(args) -> int:
         if failed:
             raise SdeKoopmanError(
                 f"cannot fit: estimates failed at query indices {failed}")
-        if args.eta <= 0:
-            from .errors import ConfigError
-            raise ConfigError("eta must be positive")
         kern = GaussianKernel(setup.lengthscale)
         values = [e.value for e in estimates]
         fitted = krr_fit(kern, CollocationGrid(points=queries), values, args.eta,
@@ -243,11 +232,10 @@ def cmd_fk(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    from .validation import check_acceptance, format_table, reports_to_csv, run_experiment
+    from .validation import (EXPERIMENTS, check_acceptance, format_table,
+                             reports_to_csv, run_experiment)
 
-    names = {"all": ["test1_ou", "test2_quadratic", "test3_linear2d"],
-             "test1": ["test1_ou"], "test2": ["test2_quadratic"],
-             "test3": ["test3_linear2d"]}[args.which]
+    names = [n for n in EXPERIMENTS if args.which in ("all", n.split("_")[0])]
     reports, all_checks = [], []
     for name in names:
         result = run_experiment(name, seed=args.seed)
@@ -313,8 +301,6 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"could not parse --sigmas '{args.sigmas}'")
     if not sigmas:
         raise ConfigError("--sigmas must contain at least one value")
-    if any(s < 0 for s in sigmas):
-        raise ConfigError("sigma values must be nonnegative")
 
     rows = conditioning_sweep(sigmas, fk=fk, seed=seed)
     out = _outdir(args)
@@ -338,16 +324,18 @@ def main(argv=None) -> int:
     from . import errors
     import numpy as np
 
-    handlers = {"solve": cmd_solve, "fk": cmd_fk, "reproduce": cmd_reproduce,
-                "semigroup-curve": cmd_semigroup_curve, "sweep": cmd_sweep}
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except errors.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (errors.SdeKoopmanError, np.linalg.LinAlgError, ValueError) as exc:
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (errors.SdeKoopmanError, np.linalg.LinAlgError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:  # a library input check
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.stats import qmc
 
 from .errors import AssemblyError, SingularSystemError
 from .kernels import GaussianKernel
@@ -84,6 +83,7 @@ def make_grid(domain: Domain, spec: GridSpec) -> CollocationGrid:
             raise ValueError("uniform_1d requires a 1-dimensional domain")
         pts = tensor_points(domain.lower, domain.upper, spec.n)
     else:  # sobol
+        from scipy.stats import qmc  # slow to import; only Sobol grids need it
         sampler = qmc.Sobol(d=d, scramble=False)
         n_pow2 = 1 << max(1, int(np.ceil(np.log2(spec.n))))
         u = sampler.random_base2(int(np.log2(n_pow2)))[: spec.n]
@@ -104,10 +104,6 @@ class AssembledSystem:
     system_matrix: Array
     regularization: float
 
-    @property
-    def n_points(self) -> int:
-        return self.source.size
-
 
 def _half_trace_term(K: Array, diff: Array, a: Array, l2: float) -> Array:
     """``(1/2) Tr[a(x_i) hess_x k(x_i, y_j)]`` from ``K``, ``diff[i, j] = x_i - y_j``,
@@ -123,9 +119,9 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     """Assemble the collocation system ``(L + D - lambda K + gamma I, f)``.
 
     With ``degenerate_mode`` the diffusion entries use the vector-field form
-    ``(1/2) sum_k (sigma_k . grad)^2 k``, which stays well defined when the
-    diffusion tensor is singular; otherwise the equivalent Hessian-trace form
-    is used.  Both reduce to D = 0 exactly when sigma vanishes.
+    ``(1/2) sum_k (sigma_k . grad)^2 k``; otherwise the Hessian-trace form
+    with ``a = sigma sigma^T``, which is never inverted.  Both are exact for
+    any sigma, singular included, and give D = 0 exactly when sigma vanishes.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")

@@ -364,7 +364,7 @@ def mc_convergence_probe(system: SdeSystem, decomp: LinearDecomposition,
 
 
 def simulate_terminal(system: SdeSystem, x0: Array, t: float, cfg: FkConfig,
-                      stream: int = 0, snapshot_times=None):
+                      snapshot_times=None):
     """Unstopped Euler-Maruyama ensemble from x0; used for semigroup checks.
 
     Returns the (n_paths, d) states at time ``t``, or a dict of snapshots
@@ -381,7 +381,7 @@ def simulate_terminal(system: SdeSystem, x0: Array, t: float, cfg: FkConfig,
         want = {int(round(ti / cfg.dt)): float(ti) for ti in snapshot_times}
         n_steps = max(n_steps, max(want))
     X = np.tile(x0, (cfg.n_paths, 1))
-    normals = _NormalStream(cfg, stream, np.empty((cfg.n_paths, system.dim_noise)))
+    normals = _NormalStream(cfg, 0, np.empty((cfg.n_paths, system.dim_noise)))
     snaps = {}
     for s in range(n_steps):
         X = em_step(system, X, cfg.dt, normals.draw(s))

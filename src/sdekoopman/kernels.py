@@ -7,9 +7,9 @@ The closed forms used throughout::
     hess_x k       = [ (x-y)(x-y)^T / l^4 - I / l^2 ] * k
 
 The generator's second-order term enters the collocation system through
-``(1/2) Tr[a(x_i) hess_x k(x_i, x_j)]``, available in a trace form (full-rank
-diffusion) and a vector-field form ``(1/2) sum_k (sigma_k . grad)^2 k`` that
-stays well defined when a(x) is singular.
+``(1/2) Tr[a(x_i) hess_x k(x_i, x_j)]``, in a trace form or a vector-field form
+``(1/2) sum_k (sigma_k . grad)^2 k``.  Both are exact for any sigma, singular
+a(x) included: the trace form builds a = sigma sigma^T and never inverts it.
 """
 
 from __future__ import annotations

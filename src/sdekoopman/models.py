@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import EigenstructureError, EvaluationError
 
@@ -191,6 +190,7 @@ def halton_points(domain: Domain, n: int) -> Array:
     """Deterministic quasi-random probe points filling the box."""
     if n < 1:
         raise ValueError("need at least one probe point")
+    from scipy.stats import qmc  # slow to import; only probe sampling needs it
     sampler = qmc.Halton(d=domain.dim, scramble=False)
     u = sampler.random(n)
     return qmc.scale(u, domain.lower, domain.upper)
@@ -280,7 +280,7 @@ def ellipticity_level(system: SdeSystem, domain: Domain, n_probe: int = 128) -> 
     """Smallest eigenvalue of a(x) minimized over quasi-random probes.
 
     A strictly positive value flags the uniformly elliptic regime; zero flags
-    degenerate diffusion, for which the vector-field assembly path applies.
+    degenerate diffusion (both assembly forms stay exact there).
     """
     if n_probe < 1:
         raise ValueError("n_probe must be >= 1")

@@ -14,9 +14,10 @@ used by the corresponding benchmark experiment.  Registered names:
                    lambda = -1, w = (1, 0.5), exact phi(x) = w . x.
 * ``langevin``  -- underdamped Langevin in (q, p) with V(q) = q^2 / 2,
                    dq = p dt, dp = (-q - gamma p) dt + sqrt(2 gamma / beta) dW;
-                   the diffusion tensor is singular, so assembly uses the
-                   vector-field entries.  Defaults gamma=2.5, beta=1 keep the
-                   linearization spectrum real ({-0.5, -2}).
+                   the diffusion tensor is singular.  Assembly keeps the
+                   vector-field entries (the tests' bit pins were recorded
+                   with them; the trace form is exact too).  Defaults
+                   gamma=2.5, beta=1 keep the spectrum real ({-0.5, -2}).
 """
 
 from __future__ import annotations

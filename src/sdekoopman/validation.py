@@ -43,11 +43,11 @@ COND_FACTOR = 3.0
 MACHINE_EPS_CEILING = 1e-12
 SEMIGROUP_CEILING_PCT = 10.0
 
-EXPERIMENT_SEEDS = {
-    "test1_ou": 101,
-    "test2_quadratic": 202,
-    "test3_linear2d": 303,
-    "langevin_demo": 404,
+# The benchmark experiments: name -> (registry model, pinned seed).
+EXPERIMENTS = {
+    "test1_ou": ("ou", 101),
+    "test2_quadratic": ("quadratic", 202),
+    "test3_linear2d": ("linear2d", 303),
 }
 
 SEMIGROUP_T = 0.5
@@ -62,7 +62,7 @@ class SemigroupResult:
 
 
 def semigroup_check(system: SdeSystem, phi: Callable, lam: float, x0: Array,
-                    t: float, cfg: FkConfig, stream: int = 0) -> SemigroupResult:
+                    t: float, cfg: FkConfig) -> SemigroupResult:
     """Monte Carlo test of ``E[phi(X_t)] = e^{lambda t} phi(x0)``.
 
     Paths run the full horizon without exit stopping (the identity is for the
@@ -71,13 +71,13 @@ def semigroup_check(system: SdeSystem, phi: Callable, lam: float, x0: Array,
     """
     if t < cfg.dt:
         raise ValueError("t must be at least one time step")
-    row, = semigroup_curve(system, phi, lam, x0, [t], cfg, stream=stream)
+    row, = semigroup_curve(system, phi, lam, x0, [t], cfg)
     return SemigroupResult(relative_error=row["rel_error"], mc_mean=row["mc_mean"],
                            prediction=row["prediction"])
 
 
 def semigroup_curve(system: SdeSystem, phi: Callable, lam: float, x0: Array,
-                    t_list, cfg: FkConfig, stream: int = 0) -> list[dict]:
+                    t_list, cfg: FkConfig) -> list[dict]:
     """Semigroup check across a grid of horizons, simulated in one sweep.
 
     Normals are keyed by step index, so each row equals a standalone
@@ -90,7 +90,7 @@ def semigroup_curve(system: SdeSystem, phi: Callable, lam: float, x0: Array,
     pred_base = float(np.atleast_1d(phi(x0[None, :]))[0])
     if abs(pred_base) < 1e-300:
         raise ValueError("phi(x0) = 0; pick a start point where phi does not vanish")
-    snaps = simulate_terminal(system, x0, ts[-1], cfg, stream=stream, snapshot_times=ts)
+    snaps = simulate_terminal(system, x0, ts[-1], cfg, snapshot_times=ts)
     rows = []
     for t in ts:
         mc_mean = float(np.mean(phi(snaps[t])))
@@ -230,7 +230,7 @@ def conditioning_sweep(sigmas, fk: Optional[FkConfig] = None,
     the diffusion strengthens the negative diagonal of the system matrix.
     """
     rows = []
-    seed = EXPERIMENT_SEEDS["test2_quadratic"] if seed is None else seed
+    seed = EXPERIMENTS["test2_quadratic"][1] if seed is None else seed
     for s in sorted(float(s) for s in sigmas):
         if s < 0:
             raise ValueError("sigma values must be nonnegative")
@@ -241,30 +241,21 @@ def conditioning_sweep(sigmas, fk: Optional[FkConfig] = None,
 
 
 def run_experiment(name: str, seed: Optional[int] = None,
-                   fk: Optional[FkConfig] = None, **overrides):
-    """Run a registered benchmark end to end.
+                   fk: Optional[FkConfig] = None):
+    """Run a benchmark experiment of :data:`EXPERIMENTS` end to end.
 
     ``test2_quadratic`` returns a list of three reports (one per noise
     level); the other names return a single :class:`ExperimentReport`.
-    ``overrides`` may adjust lengthscale, grid_spec, gamma or lambda_select.
+    ``seed`` defaults to the experiment's pinned seed.
     """
-    if name not in EXPERIMENT_SEEDS:
+    if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment '{name}'; expected one of "
-                       f"{', '.join(EXPERIMENT_SEEDS)}")
-    seed = EXPERIMENT_SEEDS[name] if seed is None else seed
+                       f"{', '.join(EXPERIMENTS)}")
+    model, pinned = EXPERIMENTS[name]
+    seed = pinned if seed is None else seed
     if name == "test2_quadratic":
-        sigmas = overrides.pop("sigmas", REFERENCE["test2_quadratic"]["sigmas"])
-        if overrides:
-            raise TypeError(f"unsupported overrides for test2: {sorted(overrides)}")
-        return conditioning_sweep(sigmas, fk=fk, seed=seed)
-    base = {"test1_ou": "ou", "test3_linear2d": "linear2d",
-            "langevin_demo": "langevin"}[name]
-    params = overrides.pop("params", {})
-    setup = get_model(base, **params).with_overrides(**overrides)
-    # the degenerate demo has no exact solution and reports only
-    # conditioning and residuals
-    metrics = () if name == "langevin_demo" else ("semigroup", "rmse")
-    return solve_and_report(setup, seed, fk=fk, metrics=metrics)[2]
+        return conditioning_sweep(REFERENCE[name]["sigmas"], fk=fk, seed=seed)
+    return solve_and_report(get_model(model), seed, fk=fk)[2]
 
 
 def _within_factor(value: float, ref: float, factor: float = COND_FACTOR) -> bool:

@@ -49,6 +49,16 @@ class TestSolveCommand:
         assert lines[0] == "x1,x2,phi"
         assert len(lines) == 1 + 400
 
+    def test_config_overrides_reach_the_solution(self, tmp_path):
+        doc = {"model": "ou", "kernel_lengthscale": 0.9, "gamma": 1e-3,
+               "grid_spec": {"kind": "uniform_1d", "n": 20},
+               "metrics": ["condition_number"]}
+        out = str(tmp_path / "run")
+        assert main(["solve", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+        with open(os.path.join(out, "solution.json"), encoding="utf-8") as fh:
+            sol = json.load(fh)
+        assert (sol["lengthscale"], sol["gamma"], len(sol["grid"])) == (0.9, 1e-3, 20)
+
     def test_negative_gamma_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": "ou", "gamma": -1.0})
         assert main(["solve", "--config", cfg]) == 2
@@ -202,6 +212,45 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, {"model": "ou"})
         assert main(["sweep", "--config", cfg, "--sigmas", "0,0.3"]) == 2
         assert "quadratic" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """The exit code follows from the exception type alone."""
+
+    def test_negative_lengthscale_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": "ou", "kernel_lengthscale": -1.0})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "lengthscale must be positive" in capsys.readouterr().err
+
+    def test_uniform_1d_grid_on_2d_model_exits_2(self, tmp_path, capsys):
+        doc = {"model": "linear2d", "grid_spec": {"kind": "uniform_1d", "n": 10}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "uniform_1d requires a 1-dimensional domain" in capsys.readouterr().err
+
+    def test_duplicate_fit_queries_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, OU_DOC)
+        queries = tmp_path / "q.csv"
+        queries.write_text("0.5\n0.5\n")
+        assert main(["fk", "--config", cfg, "--queries", str(queries), "--fit",
+                     "--out", str(tmp_path)]) == 2
+        assert "coincide" in capsys.readouterr().err
+
+    def test_complex_spectrum_exits_3(self, tmp_path, capsys):
+        # gamma=1 puts the langevin linearization spectrum off the real axis
+        cfg = write_config(tmp_path, {"model": {"name": "langevin", "gamma": 1.0}})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "complex" in capsys.readouterr().err
+
+    def test_linalg_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        import sdekoopman.cli as cli
+
+        def singular(args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli, "cmd_sweep", singular)
+        assert main(["sweep", "--sigmas", "0.3", "--out", str(tmp_path)]) == 3
+        assert "Singular matrix" in capsys.readouterr().err
 
 
 class TestHelp:

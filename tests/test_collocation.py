@@ -101,14 +101,16 @@ class TestAssemble:
         assert np.array_equal(asys.system_matrix, expected)
 
     def test_degenerate_mode_matches_elliptic_for_full_rank(self):
-        s = get_model("linear2d")
-        grid = make_grid(s.domain, GridSpec("tensor", 6))
-        kern = GaussianKernel(s.lengthscale)
-        el = assemble(s.system, s.decomp, s.eigenpair, kern, grid, s.gamma)
-        dg = assemble(s.system, s.decomp, s.eigenpair, kern, grid, s.gamma,
-                      degenerate_mode=True)
-        assert np.max(np.abs(el.diff_mat - dg.diff_mat)) <= 1e-12
-        assert np.max(np.abs(el.system_matrix - dg.system_matrix)) <= 1e-12
+        # the trace form never inverts a = sigma sigma^T, so it agrees with
+        # the vector-field form for singular diffusion (langevin) as well
+        for s in (get_model("linear2d"), get_model("langevin")):
+            grid = make_grid(s.domain, GridSpec("tensor", 6))
+            kern = GaussianKernel(s.lengthscale)
+            el = assemble(s.system, s.decomp, s.eigenpair, kern, grid, s.gamma)
+            dg = assemble(s.system, s.decomp, s.eigenpair, kern, grid, s.gamma,
+                          degenerate_mode=True)
+            assert np.max(np.abs(el.diff_mat - dg.diff_mat)) <= 1e-12
+            assert np.max(np.abs(el.system_matrix - dg.system_matrix)) <= 1e-12
 
     def test_degenerate_mode_with_zero_sigma(self):
         s = get_model("quadratic", sigma=0.0)

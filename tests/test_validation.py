@@ -9,9 +9,9 @@ from sdekoopman import (Domain, EigenPair, FkConfig, GaussianKernel,
                         run_experiment, semigroup_check, semigroup_curve,
                         solve_system)
 from sdekoopman.models import SdeSystem, linearize
-from sdekoopman.registry import constant_diffusion
+from sdekoopman.registry import constant_diffusion, get_model
 from sdekoopman.validation import (ExperimentReport, boundary_points,
-                                   format_table, reports_to_csv)
+                                   format_table, reports_to_csv, solve_and_report)
 
 SMALL_FK = FkConfig(n_paths=2000, seed=5)
 
@@ -178,7 +178,7 @@ class TestRunExperiment:
         assert a == b
 
     def test_langevin_demo_reports_conditioning_only(self):
-        r = run_experiment("langevin_demo")
+        r = solve_and_report(get_model("langevin"), 404, metrics=())[2]
         assert r.semigroup_error is None
         assert r.rmse_vs_exact is None
         assert np.isfinite(r.condition_number) and r.condition_number > 0
@@ -195,12 +195,6 @@ class TestRunExperiment:
         bad = replace(r, condition_number=1e12)
         checks = dict((label, ok) for label, ok, _ in check_acceptance("test1_ou", bad))
         assert not checks["condition number within x3 of 9.91e5"]
-
-    def test_overrides_apply(self):
-        from sdekoopman import GridSpec
-        r = run_experiment("test1_ou", fk=SMALL_FK,
-                           grid_spec=GridSpec("uniform_1d", 20))
-        assert r.config_echo["grid"]["n"] == 20
 
 
 class TestReportOutput:
