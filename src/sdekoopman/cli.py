@@ -56,12 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     epilog = _schema_epilog()
 
-    def command(name, handler, help, config_required=True, schema=True):
-        p = sub.add_parser(name, help=help, epilog=epilog if schema else None,
+    def command(name, handler, help, config="required"):
+        """A subparser; ``config`` is "required", "optional" or None (no --config)."""
+        p = sub.add_parser(name, help=help, epilog=epilog if config else None,
                            formatter_class=argparse.RawDescriptionHelpFormatter)
         p.set_defaults(handler=handler)
-        p.add_argument("--config", required=config_required,
-                       help="path to a JSON run configuration")
+        if config:
+            p.add_argument("--config", required=config == "required",
+                           help="path to a JSON run configuration")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed; overrides the config (default 0)")
         p.add_argument("--out", default=None,
@@ -81,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ridge parameter for --fit (default 1e-4)")
 
     p = command("reproduce", cmd_reproduce, "rerun the benchmark experiments",
-                config_required=False, schema=False)
+                config=None)
     p.add_argument("which", choices=["all", *(n.split("_")[0] for n in EXPERIMENTS)])
 
     p = command("semigroup-curve", cmd_semigroup_curve,
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated horizons, e.g. '0.1,0.2,0.5'")
 
     p = command("sweep", cmd_sweep, "conditioning sweep of the quadratic model",
-                config_required=False)
+                config="optional")
     p.add_argument("--sigmas", required=True,
                    help="comma-separated noise levels, e.g. '0,0.3,0.5'")
 
@@ -160,13 +162,25 @@ def _eigenfunction_curve_csv(sol, domain):
 
 
 def cmd_solve(args) -> int:
+    from .collocation import save_solution
     from .validation import reports_to_csv, solve_and_report
 
     cfg, seed, setup, fk = _load_run(args)
-    sol, asys, report = solve_and_report(setup, seed, fk=fk,
-                                         metrics=cfg.wanted_metrics())
     out = _outdir(args, cfg)
-    _write_solution(os.path.join(out, "solution.json"), sol, asys)
+    path = os.path.join(out, "solution.json")
+    # written under a temporary name while the metrics run; renamed only
+    # once they succeed, so a failing run leaves no solution.json
+    partial = path + ".partial"
+    try:
+        sol, asys, report = solve_and_report(
+            setup, seed, fk=fk, metrics=cfg.wanted_metrics(),
+            write=lambda sol, asys: save_solution(partial, sol, asys))
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
+    os.replace(partial, path)
+    print(f"wrote {path}")
     _write(os.path.join(out, "report.csv"), reports_to_csv([report]))
     _write(os.path.join(out, "eigenfunction_curve.csv"),
            _eigenfunction_curve_csv(sol, setup.domain))
@@ -287,12 +301,18 @@ def cmd_sweep(args) -> int:
     from .errors import ConfigError
     from .validation import conditioning_sweep, format_table, reports_to_csv
 
-    fk = None
+    fk = cfg = None
     seed = args.seed
     if args.config:
         cfg = load_config(args.config)
         if cfg.model_name != "quadratic":
             raise ConfigError("sweep runs the quadratic model; set model accordingly")
+        # sigma comes from --sigmas, which replaces the model's own sigma
+        unused = [key for key in cfg.to_dict()
+                  if key not in ("model", "fk", "seed", "output_dir")]
+        if unused:
+            raise ConfigError(f"sweep runs the quadratic model's presets; it does "
+                              f"not apply {', '.join(unused)}")
         seed = cfg.effective_seed(args.seed)
         fk = _fk_config(cfg, seed)
     try:
@@ -303,7 +323,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--sigmas must contain at least one value")
 
     rows = conditioning_sweep(sigmas, fk=fk, seed=seed)
-    out = _outdir(args)
+    out = _outdir(args, cfg)
     _write(os.path.join(out, "sweep.csv"), reports_to_csv(rows))
     print(format_table(rows))
     return EXIT_OK

@@ -158,21 +158,37 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
                            system_matrix=M, regularization=float(gamma))
 
 
-def solve(asys: AssembledSystem):
-    """Solve ``M alpha = -f`` by LU with partial pivoting.
+def condition_number(M: Array) -> float:
+    """2-norm condition number of ``M`` from its singular values.
 
-    Returns ``(alpha, condition_number)`` where the condition number is the
-    2-norm value of the regularized system matrix, from its singular values.
+    Raises :class:`SingularSystemError` when the smallest singular value is
+    below 1e-300.
     """
-    M = asys.system_matrix
     svals = np.linalg.svd(M, compute_uv=False)
     if svals[-1] < 1e-300:
         raise SingularSystemError("collocation matrix is numerically singular",
                                   condition_estimate=float(svals[0] / max(svals[-1], 1e-300)))
-    cond = float(svals[0] / svals[-1])
+    return float(svals[0] / svals[-1])
+
+
+def solve(asys: AssembledSystem, condition: bool = True):
+    """Solve ``M alpha = -f`` by LU with partial pivoting.
+
+    Returns ``(alpha, condition_number)`` where the condition number is the
+    2-norm value of the regularized system matrix (:func:`condition_number`).
+    With ``condition=False`` it is left to the caller and returned as None,
+    unless the LU fails or gives non-finite coefficients: then it is computed
+    here, so a singular matrix raises the same error either way.
+    """
+    M = asys.system_matrix
     try:
         alpha = np.linalg.solve(M, -asys.source)
     except np.linalg.LinAlgError:
+        alpha = None
+    cond = None
+    if condition or alpha is None or not np.all(np.isfinite(alpha)):
+        cond = condition_number(M)
+    if alpha is None:
         raise SingularSystemError("LU factorization failed", condition_estimate=cond)
     return alpha, cond
 
@@ -228,10 +244,13 @@ class CollocationSolution:
 
 def solve_system(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
                  kern: GaussianKernel, grid: CollocationGrid, gamma: float,
-                 degenerate_mode: bool = False):
-    """Assemble and solve in one step; returns (solution, assembled, cond)."""
+                 degenerate_mode: bool = False, condition: bool = True):
+    """Assemble and solve in one step; returns (solution, assembled, cond).
+
+    ``condition`` is passed to :func:`solve`.
+    """
     asys = assemble(system, decomp, eigenpair, kern, grid, gamma, degenerate_mode)
-    alpha, cond = solve(asys)
+    alpha, cond = solve(asys, condition)
     sol = CollocationSolution(coefficients=alpha, grid=grid, kernel=kern,
                               eigenpair=eigenpair, decomp=decomp,
                               equilibrium=decomp.equilibrium)

@@ -23,8 +23,22 @@ from .models import Domain, halton_points, tensor_points
 
 Array = np.ndarray
 
-# Cap on the (rows, N, d) difference tensor that eval_matrix holds at once.
-_CHUNK_BYTES = 8 << 20
+# Cap on each (rows, N) block that eval_matrix fills at once; a block and its
+# scratch stay in a core's L2 cache while each coordinate is added in.
+_CHUNK_BYTES = 256 << 10
+
+
+def _sq_dists(A: Array, Bt: Array, out: Array, scratch: Array) -> Array:
+    """Squared distances ``||a_i - b_j||^2`` into ``out``, coordinates added
+    left to right; ``Bt`` is the second point set transposed, (d, N), and
+    ``scratch`` has the shape of ``out``."""
+    np.subtract(A[:, :1], Bt[0], out=out)
+    np.square(out, out=out)
+    for k in range(1, A.shape[1]):
+        np.subtract(A[:, k:k + 1], Bt[k], out=scratch)
+        np.square(scratch, out=scratch)
+        np.add(out, scratch, out=out)
+    return out
 
 
 def _pair(x, y):
@@ -56,16 +70,25 @@ class GaussianKernel:
     def eval_matrix(self, X: Array, Y: Array) -> Array:
         """Pairwise kernel matrix for rows of X against rows of Y.
 
-        Filled in row chunks so the difference tensor stays under
-        ``_CHUNK_BYTES``; every entry is the same expression as unchunked.
+        Built in place, in row blocks of at most ``_CHUNK_BYTES``: squared
+        distances summed over the coordinates left to right, then negated,
+        divided by ``2 l^2`` and exponentiated.  For d <= 7 each entry has
+        the bits of ``exp(-((X[:, None] - Y[None]) ** 2).sum(axis=2) / (2 l^2))``,
+        whose sum of fewer than 8 terms also runs left to right; from d = 8
+        numpy sums pairwise and the last bits can differ.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         out = np.empty((X.shape[0], Y.shape[0]))
-        rows = max(1, _CHUNK_BYTES // max(1, 8 * Y.size))
+        rows = max(1, _CHUNK_BYTES // max(1, 8 * Y.shape[0]))
+        Yt = np.ascontiguousarray(Y.T)
+        scratch = np.empty((min(rows, X.shape[0]), Y.shape[0]))
         for i in range(0, X.shape[0], rows):
-            sq = ((X[i:i + rows, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
-            np.exp(-sq / (2.0 * self.lengthscale**2), out=out[i:i + rows])
+            blk = out[i:i + rows]
+            _sq_dists(X[i:i + rows], Yt, blk, scratch[:blk.shape[0]])
+            np.negative(blk, out=blk)
+            np.divide(blk, 2.0 * self.lengthscale**2, out=blk)
+            np.exp(blk, out=blk)
         return out
 
     def grad_x(self, x: Array, y: Array) -> Array:
@@ -182,7 +205,9 @@ def fill_distance(grid, domain: Domain, n_probe: int = 100_000) -> float:
         probes = np.vstack([probes, tensor_points(domain.lower, domain.upper, 2)])
     # chunked nearest-node distances to bound memory
     best = 0.0
+    pts_t = np.ascontiguousarray(pts.T)
     for chunk in np.array_split(probes, max(1, probes.shape[0] // 4096)):
-        d2 = ((chunk[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+        shape = (chunk.shape[0], pts.shape[0])
+        d2 = _sq_dists(chunk, pts_t, np.empty(shape), np.empty(shape))
         best = max(best, float(np.sqrt(d2.min(axis=1).max())))
     return best

@@ -17,8 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .collocation import (make_grid, pde_residual, residual_test_points,
-                          solve_system)
+from .collocation import (condition_number, make_grid, pde_residual,
+                          residual_test_points, solve_system)
 from .feynman_kac import FkConfig, fk_estimate, simulate_terminal
 from .kernels import GaussianKernel
 from .models import Domain, EigenPair, LinearDecomposition, SdeSystem, halton_points, tensor_points
@@ -182,44 +182,66 @@ class ExperimentReport:
 
 def solve_and_report(setup: ModelSetup, seed: int, fk: Optional[FkConfig] = None,
                      label: Optional[str] = None,
-                     metrics=("semigroup", "rmse")):
-    """Run one setup end to end; returns (solution, assembled, report)."""
+                     metrics=("semigroup", "rmse"), write: Optional[Callable] = None):
+    """Run one setup end to end; returns (solution, assembled, report).
+
+    With ``write``, the metrics (condition number first) run on one helper
+    thread while this thread calls ``write(solution, assembled)``; the SVD
+    and large numpy operations release the GIL.  A failing metric raises
+    after ``write`` returns, ahead of any error of ``write``, as if the
+    metrics had run first.
+    """
     kern = GaussianKernel(setup.lengthscale)
     grid = make_grid(setup.domain, setup.grid_spec)
-    sol, asys, cond = solve_system(setup.system, setup.decomp, setup.eigenpair,
-                                   kern, grid, setup.gamma,
-                                   degenerate_mode=setup.degenerate_mode)
-    pts = residual_test_points(setup.domain)
-    res = pde_residual(sol, setup.system, pts)
-    max_h = float(np.max(np.abs(sol.eval_h(pts))))
-
-    sg_pct = None
+    # the condition number is the first metric; solve computes it only when
+    # the LU fails or gives non-finite coefficients
+    sol, asys, _ = solve_system(setup.system, setup.decomp, setup.eigenpair,
+                                kern, grid, setup.gamma,
+                                degenerate_mode=setup.degenerate_mode, condition=False)
     cfg = fk or FkConfig(n_paths=SEMIGROUP_PATHS, seed=seed)
-    if "semigroup" in metrics:
-        sg = semigroup_check(setup.system, sol.eval_phi, setup.eigenpair.eigenvalue,
-                             setup.semigroup_x0, SEMIGROUP_T, cfg)
-        sg_pct = 100.0 * sg.relative_error
 
-    rmse = None
-    if setup.exact_phi is not None and "rmse" in metrics:
-        rmse = rmse_vs_exact(sol.eval_phi, setup.exact_phi, pts)
+    def report():
+        cond = condition_number(asys.system_matrix)
+        pts = residual_test_points(setup.domain)
+        res = pde_residual(sol, setup.system, pts)
+        max_h = float(np.max(np.abs(sol.eval_h(pts))))
 
-    echo = {
-        "model": setup.name, "params": dict(setup.params or {}),
-        "lengthscale": setup.lengthscale,
-        "grid": {"kind": setup.grid_spec.kind, "n": setup.grid_spec.n},
-        "gamma": setup.gamma, "lambda": setup.eigenpair.eigenvalue,
-        "degenerate_mode": setup.degenerate_mode,
-        "seed": cfg.seed, "n_paths": cfg.n_paths, "dt": cfg.dt,
-        "semigroup_t": SEMIGROUP_T if "semigroup" in metrics else None,
-        "semigroup_x0": None if setup.semigroup_x0 is None else list(setup.semigroup_x0),
-    }
-    report = ExperimentReport(label=label or setup.system.label,
-                              condition_number=cond,
-                              pde_residual_mean=res.mean, pde_residual_max=res.max,
-                              semigroup_error=sg_pct, rmse_vs_exact=rmse,
-                              max_abs_h=max_h, config_echo=echo)
-    return sol, asys, report
+        sg_pct = None
+        if "semigroup" in metrics:
+            sg = semigroup_check(setup.system, sol.eval_phi, setup.eigenpair.eigenvalue,
+                                 setup.semigroup_x0, SEMIGROUP_T, cfg)
+            sg_pct = 100.0 * sg.relative_error
+
+        rmse = None
+        if setup.exact_phi is not None and "rmse" in metrics:
+            rmse = rmse_vs_exact(sol.eval_phi, setup.exact_phi, pts)
+
+        echo = {
+            "model": setup.name, "params": dict(setup.params or {}),
+            "lengthscale": setup.lengthscale,
+            "grid": {"kind": setup.grid_spec.kind, "n": setup.grid_spec.n},
+            "gamma": setup.gamma, "lambda": setup.eigenpair.eigenvalue,
+            "degenerate_mode": setup.degenerate_mode,
+            "seed": cfg.seed, "n_paths": cfg.n_paths, "dt": cfg.dt,
+            "semigroup_t": SEMIGROUP_T if "semigroup" in metrics else None,
+            "semigroup_x0": None if setup.semigroup_x0 is None else list(setup.semigroup_x0),
+        }
+        return ExperimentReport(label=label or setup.system.label,
+                                condition_number=cond,
+                                pde_residual_mean=res.mean, pde_residual_max=res.max,
+                                semigroup_error=sg_pct, rmse_vs_exact=rmse,
+                                max_abs_h=max_h, config_echo=echo)
+
+    if write is None:
+        return sol, asys, report()
+    from concurrent.futures import ThreadPoolExecutor  # 7 ms to import; only write needs it
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(report)
+        try:
+            write(sol, asys)
+        finally:
+            result = pending.result()
+    return sol, asys, result
 
 
 def conditioning_sweep(sigmas, fk: Optional[FkConfig] = None,

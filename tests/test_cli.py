@@ -91,6 +91,73 @@ class TestSolveCommand:
             assert read(os.path.join(out1, name)) == read(os.path.join(out2, name))
 
 
+class TestSolveFailureWritesNothing:
+    """The metrics run while solution.json is written under a temporary
+    name; a failing metric exits with its usual code, removes that file and
+    leaves the solution.json of an earlier run as it was."""
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        import sdekoopman.collocation as collocation
+
+        paths = []
+        save = collocation.save_solution
+
+        def recording_save(path, sol, asys=None):
+            paths.append(path)
+            save(path, sol, asys)
+
+        monkeypatch.setattr(collocation, "save_solution", recording_save)
+        return paths
+
+    def earlier_run(self, tmp_path):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "solution.json").write_text("from an earlier run\n")
+        return out
+
+    def assert_nothing_left(self, out, written):
+        assert len(written) == 1  # the writer ran before the failure surfaced
+        assert not os.path.exists(written[0])
+        assert os.listdir(out) == ["solution.json"]
+        assert (out / "solution.json").read_text() == "from an earlier run\n"
+
+    def test_failing_semigroup_check_exits_2(self, tmp_path, monkeypatch, written, capsys):
+        import sdekoopman.validation as validation
+
+        def failing(*args, **kwargs):
+            raise ValueError("semigroup check failed on purpose")
+
+        monkeypatch.setattr(validation, "semigroup_check", failing)
+        out = self.earlier_run(tmp_path)
+        assert main(["solve", "--config", write_config(tmp_path, OU_DOC),
+                     "--out", str(out)]) == 2
+        assert "failed on purpose" in capsys.readouterr().err
+        self.assert_nothing_left(out, written)
+
+    def test_singular_system_exits_3(self, tmp_path, monkeypatch, written, capsys):
+        import dataclasses
+
+        import sdekoopman.collocation as collocation
+
+        assemble = collocation.assemble
+
+        def singular(*args, **kwargs):
+            # a denormal last row: the LU succeeds (ou has f = 0, so alpha = 0),
+            # and only the singular values show the matrix is singular
+            asys = assemble(*args, **kwargs)
+            M = asys.system_matrix.copy()
+            M[-1] *= 1e-310
+            return dataclasses.replace(asys, system_matrix=M)
+
+        monkeypatch.setattr(collocation, "assemble", singular)
+        out = self.earlier_run(tmp_path)
+        assert main(["solve", "--config", write_config(tmp_path, OU_DOC),
+                     "--out", str(out)]) == 3
+        assert "numerically singular" in capsys.readouterr().err
+        self.assert_nothing_left(out, written)
+
+
 class TestFkCommand:
     def test_estimates_csv(self, tmp_path):
         cfg = write_config(tmp_path, OU_DOC)
@@ -156,6 +223,13 @@ class TestReproduceCommand:
         lines = read(os.path.join(out, "summary.csv")).decode().splitlines()
         assert len(lines) == 2  # header + one row
 
+    def test_config_flag_rejected(self, capsys):
+        # reproduce runs the pinned experiments; it has no --config to ignore
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "test1", "--config", "/nonexistent.json"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+
     def test_unknown_test_name_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["reproduce", "test9"])
@@ -207,6 +281,31 @@ class TestSweepCommand:
     def test_bad_sigma_list(self, tmp_path):
         assert main(["sweep", "--sigmas", "0,heavy"]) == 2
         assert main(["sweep", "--sigmas", "-0.5"]) == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("gamma", 0.5), ("kernel_lengthscale", 0.3),
+        ("grid_spec", {"kind": "uniform_1d", "n": 12}), ("lambda_select", -1.0),
+        ("metrics", ["condition_number"]),
+    ])
+    def test_unapplied_config_keys_rejected_by_name(self, tmp_path, capsys, key, value):
+        doc = {"model": "quadratic", key: value}
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--sigmas", "0.3",
+                     "--out", str(out)]) == 2
+        assert f"not apply {key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sigmas_replace_the_config_sigma(self, tmp_path):
+        rows = {}
+        for name, model in (("plain", "quadratic"),
+                            ("sigma", {"name": "quadratic", "sigma": 0.9})):
+            doc = {"model": model, "seed": 3, "fk": {"n_paths": 200, "t_max": 3.0}}
+            out = tmp_path / name
+            assert main(["sweep", "--config", write_config(tmp_path, doc, f"{name}.json"),
+                         "--sigmas", "0.3", "--out", str(out)]) == 0
+            rows[name] = read(out / "sweep.csv")
+        assert rows["plain"] == rows["sigma"]
+        assert b"sigma=0.3" in rows["plain"]
 
     def test_non_quadratic_config_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": "ou"})

@@ -169,6 +169,24 @@ class TestSolve:
         with pytest.raises(SingularSystemError):
             solve(asys)
 
+    @pytest.mark.parametrize("condition", [True, False])
+    @pytest.mark.parametrize("pivot", [0.0, 1e-310])
+    def test_singular_matrix_raises_whether_or_not_condition_is_asked(self, condition, pivot):
+        # pivot 0 fails the LU; 1e-310 passes it with an infinite coefficient,
+        # so with condition=False only the non-finite check reaches the SVD
+        M = np.diag([1.0, 1.0, pivot])
+        asys = AssembledSystem(gram=np.eye(3), drift_mat=np.zeros((3, 3)),
+                               diff_mat=np.zeros((3, 3)), source=np.array([0.0, 0.0, 1.0]),
+                               system_matrix=M, regularization=0.0)
+        with pytest.raises(SingularSystemError, match="numerically singular"):
+            solve(asys, condition=condition)
+
+    def test_deferred_condition_number_is_none(self):
+        _, asys, _, _ = ou_assembled()
+        alpha, cond = solve(asys, condition=False)
+        assert cond is None
+        assert np.array_equal(alpha, solve(asys)[0])
+
     def test_collocation_equations_hold_at_nodes_without_ridge(self):
         # gamma = 0 and a modest grid keep the system well conditioned, so
         # the PDE residual at the nodes is pure solver noise

@@ -60,20 +60,35 @@ class TestEval:
         assert np.allclose(k.hessian_x(x + s, y + s), k.hessian_x(x, y), atol=1e-14)
 
 
+def one_shot_matrix(k, X, Y):
+    """The unchunked (rows, N, d) difference-tensor expression."""
+    return np.exp(-((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+                  / (2.0 * k.lengthscale**2))
+
+
 class TestEvalMatrixChunks:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("chunk_rows", [1, 7])
     def test_bitwise_equal_to_one_shot(self, monkeypatch, dim, chunk_rows):
         gen = np.random.default_rng(dim)
         X = gen.uniform(-2.0, 2.0, (30, dim))  # 30 rows: not a multiple of 7
         Y = gen.uniform(-2.0, 2.0, (11, dim))
         k = GaussianKernel(0.7)
-        one_shot = np.exp(-((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
-                          / (2.0 * k.lengthscale**2))
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_rows * 8 * Y.size)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_rows * 8 * Y.shape[0])
         chunked = k.eval_matrix(X, Y)
         assert chunked.shape == (30, 11)
-        assert np.array_equal(chunked.view(np.uint64), one_shot.view(np.uint64))
+        assert np.array_equal(chunked.view(np.uint64), one_shot_matrix(k, X, Y).view(np.uint64))
+
+    @pytest.mark.parametrize("dim", [8, 12])
+    def test_close_to_one_shot_from_dim_8(self, monkeypatch, dim):
+        # numpy sums 8 or more terms pairwise, the block loop left to right
+        gen = np.random.default_rng(dim)
+        X = gen.uniform(-1.0, 1.0, (30, dim))
+        Y = gen.uniform(-1.0, 1.0, (11, dim))
+        k = GaussianKernel(1.5)
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 7 * 8 * Y.shape[0])
+        assert np.allclose(k.eval_matrix(X, Y), one_shot_matrix(k, X, Y),
+                           rtol=1e-14, atol=0.0)
 
 
 class TestDerivatives:
