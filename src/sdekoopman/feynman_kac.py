@@ -363,6 +363,17 @@ def mc_convergence_probe(system: SdeSystem, decomp: LinearDecomposition,
     return rows
 
 
+def _whole_steps(t: float, dt: float) -> int:
+    """Number of ``dt`` steps in the horizon ``t``, which must be a positive
+    whole number of steps up to 1e-9 of a step (so 0.3 / 0.01 counts as 30)."""
+    steps = t / dt
+    n = round(steps) if np.isfinite(steps) else 0
+    if n < 1 or abs(steps - n) > 1e-9:
+        raise ValueError(f"horizon {t!r} must be a positive whole number of "
+                         f"time steps of dt={dt!r}")
+    return int(n)
+
+
 def simulate_terminal(system: SdeSystem, x0: Array, t: float, cfg: FkConfig,
                       snapshot_times=None):
     """Unstopped Euler-Maruyama ensemble from x0; used for semigroup checks.
@@ -370,15 +381,16 @@ def simulate_terminal(system: SdeSystem, x0: Array, t: float, cfg: FkConfig,
     Returns the (n_paths, d) states at time ``t``, or a dict of snapshots
     ``{t_i: states}`` when ``snapshot_times`` is given (each snapshot equals
     what a separate run to that horizon would produce, because the normals
-    are keyed by step index).
+    are keyed by step index).  Every horizon must be a whole number of
+    steps, and no two snapshot times may share a step.
     """
     x0 = np.asarray(x0, dtype=float)
-    n_steps = int(round(t / cfg.dt))
-    if n_steps < 1:
-        raise ValueError("horizon must cover at least one step")
+    n_steps = _whole_steps(t, cfg.dt)
     want = {}
     if snapshot_times is not None:
-        want = {int(round(ti / cfg.dt)): float(ti) for ti in snapshot_times}
+        want = {_whole_steps(ti, cfg.dt): float(ti) for ti in snapshot_times}
+        if len(want) < len(snapshot_times):
+            raise ValueError("two snapshot times fall on the same time step")
         n_steps = max(n_steps, max(want))
     X = np.tile(x0, (cfg.n_paths, 1))
     normals = _NormalStream(cfg, 0, np.empty((cfg.n_paths, system.dim_noise)))

@@ -1,24 +1,25 @@
 """Verification metrics and the benchmark experiment pipeline.
 
-For every experiment we report the condition number of the regularized
-collocation matrix, the mean/max PDE residual over an evaluation grid, a
-Monte Carlo check of the defining semigroup identity
-``E[phi(X_t)] = e^{lambda t} phi(x0)``, and (when an exact eigenfunction is
-known) the RMSE against it.  The three reference experiments pin their
-expected values; ``check_acceptance`` evaluates the pass bands used by the
-``reproduce`` command.
+For every experiment we report, for each ``metrics`` key requested and only
+then, the condition number of the regularized collocation matrix, the mean
+PDE residual over an evaluation grid, a Monte Carlo check of the semigroup
+identity ``E[phi(X_t)] = e^{lambda t} phi(x0)``, the RMSE against the exact
+eigenfunction (when known) and max|h|.  The three reference experiments
+request all and pin their expected values; ``check_acceptance`` evaluates
+the pass bands used by the ``reproduce`` command.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .collocation import (condition_number, make_grid, pde_residual,
                           residual_test_points, solve_system)
+from .config import ALLOWED_METRICS
 from .feynman_kac import FkConfig, fk_estimate, simulate_terminal
 from .kernels import GaussianKernel
 from .models import Domain, EigenPair, LinearDecomposition, SdeSystem, halton_points, tensor_points
@@ -69,8 +70,6 @@ def semigroup_check(system: SdeSystem, phi: Callable, lam: float, x0: Array,
     unstopped process).  ``phi`` must accept a batch of states.  This is the
     one-horizon case of :func:`semigroup_curve`.
     """
-    if t < cfg.dt:
-        raise ValueError("t must be at least one time step")
     row, = semigroup_curve(system, phi, lam, x0, [t], cfg)
     return SemigroupResult(relative_error=row["rel_error"], mc_mean=row["mc_mean"],
                            prediction=row["prediction"])
@@ -168,22 +167,24 @@ def boundary_stability_check(system: SdeSystem, decomp: LinearDecomposition,
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """One row of the benchmark summary table."""
+    """One row of the summary table, field for field :data:`REPORT_CSV_COLUMNS`;
+    None marks a metric that was not requested or does not apply."""
 
     label: str
-    condition_number: float
-    pde_residual_mean: float
-    pde_residual_max: float
+    condition_number: Optional[float]
+    pde_residual_mean: Optional[float]
     semigroup_error: Optional[float]  # relative error in percent
     rmse_vs_exact: Optional[float]
-    max_abs_h: float
-    config_echo: dict
+    max_abs_h: Optional[float]
 
 
 def solve_and_report(setup: ModelSetup, seed: int, fk: Optional[FkConfig] = None,
                      label: Optional[str] = None,
-                     metrics=("semigroup", "rmse"), write: Optional[Callable] = None):
+                     metrics=ALLOWED_METRICS, write: Optional[Callable] = None):
     """Run one setup end to end; returns (solution, assembled, report).
+
+    Only the requested ``metrics`` are computed.  Without ``condition_number``
+    no SVD runs, and only ``collocation.solve``'s checks catch a singular system.
 
     With ``write``, the metrics (condition number first) run on one helper
     thread while this thread calls ``write(solution, assembled)``; the SVD
@@ -201,36 +202,24 @@ def solve_and_report(setup: ModelSetup, seed: int, fk: Optional[FkConfig] = None
     cfg = fk or FkConfig(n_paths=SEMIGROUP_PATHS, seed=seed)
 
     def report():
-        cond = condition_number(asys.system_matrix)
         pts = residual_test_points(setup.domain)
-        res = pde_residual(sol, setup.system, pts)
-        max_h = float(np.max(np.abs(sol.eval_h(pts))))
-
-        sg_pct = None
+        cond = res = max_h = sg_pct = rmse = None
+        if "condition_number" in metrics:
+            cond = condition_number(asys.system_matrix)
+        if "pde_residual" in metrics:
+            res = pde_residual(sol, setup.system, pts).mean
+        if "max_abs_h" in metrics:
+            max_h = float(np.max(np.abs(sol.eval_h(pts))))
         if "semigroup" in metrics:
             sg = semigroup_check(setup.system, sol.eval_phi, setup.eigenpair.eigenvalue,
                                  setup.semigroup_x0, SEMIGROUP_T, cfg)
             sg_pct = 100.0 * sg.relative_error
-
-        rmse = None
         if setup.exact_phi is not None and "rmse" in metrics:
             rmse = rmse_vs_exact(sol.eval_phi, setup.exact_phi, pts)
-
-        echo = {
-            "model": setup.name, "params": dict(setup.params or {}),
-            "lengthscale": setup.lengthscale,
-            "grid": {"kind": setup.grid_spec.kind, "n": setup.grid_spec.n},
-            "gamma": setup.gamma, "lambda": setup.eigenpair.eigenvalue,
-            "degenerate_mode": setup.degenerate_mode,
-            "seed": cfg.seed, "n_paths": cfg.n_paths, "dt": cfg.dt,
-            "semigroup_t": SEMIGROUP_T if "semigroup" in metrics else None,
-            "semigroup_x0": None if setup.semigroup_x0 is None else list(setup.semigroup_x0),
-        }
         return ExperimentReport(label=label or setup.system.label,
-                                condition_number=cond,
-                                pde_residual_mean=res.mean, pde_residual_max=res.max,
+                                condition_number=cond, pde_residual_mean=res,
                                 semigroup_error=sg_pct, rmse_vs_exact=rmse,
-                                max_abs_h=max_h, config_echo=echo)
+                                max_abs_h=max_h)
 
     if write is None:
         return sol, asys, report()
@@ -351,21 +340,21 @@ def reports_to_csv(reports) -> str:
     buf = io.StringIO()
     buf.write(",".join(REPORT_CSV_COLUMNS) + "\n")
     for r in reports:
-        row = [r.label, repr(r.condition_number), repr(r.pde_residual_mean),
-               "" if r.semigroup_error is None else repr(r.semigroup_error),
-               "" if r.rmse_vs_exact is None else repr(r.rmse_vs_exact),
-               repr(r.max_abs_h)]
-        buf.write(",".join(row) + "\n")
+        label, *values = astuple(r)
+        buf.write(",".join([label, *("" if v is None else repr(v) for v in values)]) + "\n")
     return buf.getvalue()
 
 
 def format_table(reports) -> str:
-    """Human-readable summary table of the benchmark rows."""
+    """Human-readable summary table of the benchmark rows; '-' for absent metrics."""
+    def cell(value, spec):
+        return "-" if value is None else spec.format(value)
+
     head = f"{'Test':<24} {'Cond #':>10} {'PDE Res':>10} {'SG Error':>9} {'RMSE':>10}"
     lines = [head, "-" * len(head)]
     for r in reports:
-        sg = "-" if r.semigroup_error is None else f"{r.semigroup_error:.2f}%"
-        rm = "-" if r.rmse_vs_exact is None else f"{r.rmse_vs_exact:.2e}"
-        lines.append(f"{r.label:<24} {r.condition_number:>10.3e} "
-                     f"{r.pde_residual_mean:>10.3e} {sg:>9} {rm:>10}")
+        lines.append(f"{r.label:<24} {cell(r.condition_number, '{:.3e}'):>10} "
+                     f"{cell(r.pde_residual_mean, '{:.3e}'):>10} "
+                     f"{cell(r.semigroup_error, '{:.2f}%'):>9} "
+                     f"{cell(r.rmse_vs_exact, '{:.2e}'):>10}")
     return "\n".join(lines)

@@ -21,6 +21,19 @@ def read(path):
 OU_DOC = {"model": "ou", "seed": 11, "fk": {"n_paths": 500, "t_max": 5.0}}
 
 
+def no_svd_no_residual(monkeypatch):
+    """Make the SVD of the condition number and the PDE residual raise."""
+    import sdekoopman.collocation as collocation
+    import sdekoopman.validation as validation
+
+    def boom(*args, **kwargs):
+        raise AssertionError("an unrequested metric was computed")
+
+    for owner in (collocation, validation):
+        monkeypatch.setattr(owner, "condition_number", boom)
+    monkeypatch.setattr(validation, "pde_residual", boom)
+
+
 class TestSolveCommand:
     def test_writes_outputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, OU_DOC)
@@ -81,6 +94,16 @@ class TestSolveCommand:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_unrequested_metrics_are_not_computed(self, tmp_path, monkeypatch):
+        out = str(tmp_path / "run")
+        no_svd_no_residual(monkeypatch)
+        doc = dict(OU_DOC, metrics=["semigroup"])
+        assert main(["solve", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+        header, row = read(os.path.join(out, "report.csv")).decode().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["cond"] == cells["pde_res_mean"] == cells["max_abs_h"] == ""
+        assert float(cells["semigroup_error_pct"]) <= 10.0
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, OU_DOC)
@@ -177,12 +200,22 @@ class TestFkCommand:
         assert main(["fk", "--config", cfg, "--queries", str(queries),
                      "--out", str(tmp_path / "o")]) == 0
 
+    def test_exponent_first_row_is_a_query(self, tmp_path):
+        cfg = write_config(tmp_path, OU_DOC)
+        queries = tmp_path / "q.csv"
+        queries.write_text("1e-1\n0.5\n")
+        out = str(tmp_path / "o")
+        assert main(["fk", "--config", cfg, "--queries", str(queries), "--out", out]) == 0
+        lines = read(os.path.join(out, "fk_estimates.csv")).decode().splitlines()
+        assert [row.split(",")[1] for row in lines[1:]] == ["0.1", "0.5"]
+
     def test_malformed_line_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path, OU_DOC)
         queries = tmp_path / "q.csv"
-        queries.write_text("0.5\nplaid\n")
-        assert main(["fk", "--config", cfg, "--queries", str(queries)]) == 2
-        assert "line 2" in capsys.readouterr().err
+        for bad in ("plaid", "nan", "-inf"):  # a NaN query would give a NaN estimate
+            queries.write_text(f"0.5\n{bad}\n")
+            assert main(["fk", "--config", cfg, "--queries", str(queries)]) == 2
+            assert "line 2" in capsys.readouterr().err
 
     def test_wrong_dimension_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path, OU_DOC)
@@ -265,6 +298,19 @@ class TestSemigroupCurveCommand:
     def test_decreasing_t_list_rejected(self, tmp_path):
         cfg = write_config(tmp_path, OU_DOC)
         assert main(["semigroup-curve", "--config", cfg, "--t-list", "0.5,0.1"]) == 2
+
+    def test_horizons_on_one_step_rejected(self, tmp_path, capsys):
+        # dt = 0.01: 0.104 is not a whole number of steps (it would share step 10)
+        cfg = write_config(tmp_path, OU_DOC)
+        assert main(["semigroup-curve", "--config", cfg, "--t-list", "0.1,0.104",
+                     "--out", str(tmp_path / "sg")]) == 2
+        assert "whole number of time steps" in capsys.readouterr().err
+
+    def test_computes_no_report_metrics(self, tmp_path, monkeypatch):
+        no_svd_no_residual(monkeypatch)
+        cfg = write_config(tmp_path, OU_DOC)
+        assert main(["semigroup-curve", "--config", cfg, "--t-list", "0.1",
+                     "--out", str(tmp_path / "sg")]) == 0
 
 
 class TestSweepCommand:

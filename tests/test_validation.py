@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -61,9 +61,22 @@ class TestSemigroup:
         phi = lambda X: np.atleast_2d(X)[:, 0]
         with pytest.raises(ValueError):
             semigroup_curve(ou_setup.system, phi, -1.0, np.array([1.0]), [], SMALL_FK)
-        with pytest.raises(ValueError):
-            semigroup_curve(ou_setup.system, phi, -1.0, np.array([1.0]),
-                            [0.5, 0.2], SMALL_FK)
+        # dt = 0.01: 0.104 is not a whole number of steps, and 0.1 + 1e-13
+        # lands on the same step as 0.1
+        for ts, match in (([0.5, 0.2], "increasing"), ([0.1, 0.104], "whole number"),
+                          ([0.1, 0.1 + 1e-13], "same time step")):
+            with pytest.raises(ValueError, match=match):
+                semigroup_curve(ou_setup.system, phi, -1.0, np.array([1.0]), ts, SMALL_FK)
+
+    def test_horizon_must_be_whole_steps(self, ou_setup):
+        # 0.105 used to be simulated for 10 steps and predicted at 0.105
+        phi = lambda X: np.atleast_2d(X)[:, 0]
+        with pytest.raises(ValueError, match="whole number"):
+            semigroup_check(ou_setup.system, phi, -1.0, np.array([1.0]), 0.105, SMALL_FK)
+        # 0.3 / 0.01 is 29.999999999999996, within the slack of 30 steps
+        rows = semigroup_curve(ou_setup.system, phi, -1.0, np.array([1.0]),
+                               [0.1, 0.3], SMALL_FK)
+        assert [r["t"] for r in rows] == [0.1, 0.3]
 
 
 class TestRmse:
@@ -148,7 +161,7 @@ class TestConditioningSweep:
 
     def test_rows_sorted_and_decreasing(self):
         rows = conditioning_sweep([0.5, 0.0, 0.3], fk=SMALL_FK)
-        sigmas = [r.config_echo["params"]["sigma"] for r in rows]
+        sigmas = [float(r.label.split("sigma=")[1]) for r in rows]
         assert sigmas == [0.0, 0.3, 0.5]
         conds = [r.condition_number for r in rows]
         assert conds[0] > conds[1] > conds[2]
@@ -170,7 +183,7 @@ class TestRunExperiment:
         assert r.max_abs_h <= 1e-12
         assert r.pde_residual_mean <= 1e-12
         assert r.semigroup_error is not None and r.semigroup_error <= 10.0
-        assert r.config_echo["grid"] == {"kind": "uniform_1d", "n": 40}
+        assert all(getattr(r, f.name) is not None for f in fields(r))  # every metric
 
     def test_rerun_is_bit_identical(self):
         a = run_experiment("test1_ou", fk=SMALL_FK)
@@ -178,12 +191,14 @@ class TestRunExperiment:
         assert a == b
 
     def test_langevin_demo_reports_conditioning_only(self):
-        r = solve_and_report(get_model("langevin"), 404, metrics=())[2]
+        # README's langevin recipe
+        metrics = ("condition_number", "pde_residual", "max_abs_h")
+        r = solve_and_report(get_model("langevin"), 404, metrics=metrics)[2]
         assert r.semigroup_error is None
         assert r.rmse_vs_exact is None
         assert np.isfinite(r.condition_number) and r.condition_number > 0
         assert np.isfinite(r.pde_residual_mean)
-        assert r.config_echo["degenerate_mode"] is True
+        assert get_model("langevin").degenerate_mode is True
 
     def test_acceptance_bands_for_small_run(self):
         r = run_experiment("test1_ou", fk=SMALL_FK)
@@ -198,20 +213,19 @@ class TestRunExperiment:
 
 
 class TestReportOutput:
+    # the second row asked for no condition number
+    ROWS = (ExperimentReport(label="demo", condition_number=1e5, pde_residual_mean=1e-3,
+                             semigroup_error=None, rmse_vs_exact=None, max_abs_h=0.1),
+            ExperimentReport(label="nocond", condition_number=None, pde_residual_mean=1e-3,
+                             semigroup_error=4.2, rmse_vs_exact=1e-14, max_abs_h=0.1))
+
     def test_csv_header_and_blanks(self):
-        rep = ExperimentReport(label="demo", condition_number=1e5,
-                               pde_residual_mean=1e-3, pde_residual_max=5e-3,
-                               semigroup_error=None, rmse_vs_exact=None,
-                               max_abs_h=0.1, config_echo={})
-        text = reports_to_csv([rep])
-        lines = text.splitlines()
+        lines = reports_to_csv(self.ROWS).splitlines()
         assert lines[0] == "label,cond,pde_res_mean,semigroup_error_pct,rmse,max_abs_h"
         assert lines[1] == "demo,100000.0,0.001,,,0.1"
+        assert lines[2] == "nocond,,0.001,4.2,1e-14,0.1"
 
     def test_table_rendering(self):
-        rep = ExperimentReport(label="demo", condition_number=1e5,
-                               pde_residual_mean=1e-3, pde_residual_max=5e-3,
-                               semigroup_error=4.2, rmse_vs_exact=1e-14,
-                               max_abs_h=0.1, config_echo={})
-        table = format_table([rep])
-        assert "demo" in table and "4.20%" in table
+        demo, nocond = format_table(self.ROWS).splitlines()[2:]
+        assert demo.split() == ["demo", "1.000e+05", "1.000e-03", "-", "-"]
+        assert nocond.split() == ["nocond", "-", "1.000e-03", "4.20%", "1.00e-14"]
