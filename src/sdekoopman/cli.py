@@ -274,6 +274,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_semigroup_curve(args) -> int:
     from .errors import ConfigError
+    from .feynman_kac import horizon_steps
     from .validation import semigroup_curve, solve_and_report
 
     cfg, seed, setup, fk = _load_run(args)
@@ -281,6 +282,7 @@ def cmd_semigroup_curve(args) -> int:
         t_list = [float(t) for t in args.t_list.split(",") if t.strip()]
     except ValueError:
         raise ConfigError(f"could not parse --t-list '{args.t_list}'")
+    horizon_steps(t_list, fk.dt)  # before the solve, which a bad list would waste
 
     sol, _, _ = solve_and_report(setup, seed, fk=fk, metrics=())
     rows = semigroup_curve(setup.system, sol.eval_phi, setup.eigenpair.eigenvalue,

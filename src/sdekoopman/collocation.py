@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import AssemblyError, SingularSystemError
-from .kernels import GaussianKernel
+from .kernels import GaussianKernel, first_close_pair
 from .models import Domain, EigenPair, LinearDecomposition, SdeSystem, tensor_points
 
 Array = np.ndarray
@@ -60,10 +59,9 @@ class CollocationGrid:
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if not np.all(np.isfinite(pts)):
             raise ValueError("grid points must be finite")
-        close = cKDTree(pts).query_pairs(1e-12)
-        if close:
-            i, j = min(close)
-            raise ValueError(f"grid points {i} and {j} coincide")
+        close = first_close_pair(pts, 1e-12)
+        if close is not None:
+            raise ValueError(f"grid points {close[0]} and {close[1]} coincide")
         object.__setattr__(self, "points", pts)
 
     @property

@@ -34,6 +34,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .collocation import CollocationGrid, CollocationSolution
 from .errors import EvaluationError, SingularSystemError
@@ -88,7 +89,7 @@ def counter_normals(seed: int, stream: int, step: int, n: int, m: int) -> Array:
     """Standard normals for one simulation step of one stream, shape (n, m)."""
     key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
     counter = np.array([0, 0, step, 0], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(counter=counter, key=key))
+    gen = Generator(Philox(counter=counter, key=key))
     return gen.standard_normal((n, m))
 
 
@@ -105,8 +106,8 @@ class _NormalStream:
 
     def __init__(self, cfg: FkConfig, stream: int, out: Array):
         key = np.array([cfg.seed % 2**64, stream % 2**64], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=key)
-        self._gen = np.random.Generator(self._bitgen)
+        self._bitgen = Philox(key=key)
+        self._gen = Generator(self._bitgen)
         self._fresh = self._bitgen.state  # counter 0, empty output buffer
         n = out.shape[0]
         self._half = (n + 1) // 2 if cfg.antithetic else n
@@ -122,9 +123,28 @@ class _NormalStream:
         return out
 
 
-def _em_update(X: Array, G: Array, S: Array, Z: Array, dt: float) -> Array:
-    """The Euler-Maruyama update from drift ``G`` and diffusion factor ``S`` at X."""
-    return X + G * dt + np.sqrt(dt) * np.einsum("ndm,nm->nd", S, Z)
+def _em_update(X: Array, G: Array, S: Array, Z: Array, dt: float, out: Array,
+               noise: Array) -> Array:
+    """The Euler-Maruyama update ``X + G dt + sqrt(dt) S Z`` from drift ``G``
+    and diffusion factor ``S`` at X, written into ``out`` with ``noise`` (the
+    shape of X) as scratch; it rounds as the expression does, left to right."""
+    np.einsum("ndm,nm->nd", S, Z, out=noise)
+    noise *= np.sqrt(dt)
+    np.multiply(G, dt, out=out)
+    out += X
+    out += noise
+    return out
+
+
+def _em_step(system: SdeSystem, X: Array, Z: Array, dt: float, out: Array,
+             noise: Array) -> Array:
+    """One Euler-Maruyama step of the states X into ``out``; a step that is
+    not finite raises, naming the state it started from."""
+    _em_update(X, system.drift_at(X), system.sigma_at(X), Z, dt, out, noise)
+    if not np.all(np.isfinite(out)):
+        bad = X[~np.isfinite(out).all(axis=1)][0]
+        raise EvaluationError(f"Euler-Maruyama step blew up from state {bad}")
+    return out
 
 
 def em_step(system: SdeSystem, x: Array, dt: float, z: Array) -> Array:
@@ -138,10 +158,7 @@ def em_step(system: SdeSystem, x: Array, dt: float, z: Array) -> Array:
     single = x.ndim == 1
     X = np.atleast_2d(x)
     Z = np.atleast_2d(z)
-    out = _em_update(X, system.drift_at(X), system.sigma_at(X), Z, dt)
-    if not np.all(np.isfinite(out)):
-        bad = X[~np.isfinite(out).all(axis=1)][0]
-        raise EvaluationError(f"Euler-Maruyama step blew up from state {bad}")
+    out = _em_step(system, X, Z, dt, np.empty_like(X), np.empty_like(X))
     return out[0] if single else out
 
 
@@ -180,7 +197,8 @@ def _advance(system: SdeSystem, decomp: LinearDecomposition, w: Array, X: Array,
     """
     G = system.drift_at(X)
     F = G - (X - decomp.equilibrium) @ decomp.a_matrix.T
-    return F @ w, _em_update(X, G, system.sigma_at(X), Z, dt)
+    return F @ w, _em_update(X, G, system.sigma_at(X), Z, dt, np.empty_like(X),
+                             np.empty_like(X))
 
 
 def _fk_block(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
@@ -363,15 +381,27 @@ def mc_convergence_probe(system: SdeSystem, decomp: LinearDecomposition,
     return rows
 
 
-def _whole_steps(t: float, dt: float) -> int:
-    """Number of ``dt`` steps in the horizon ``t``, which must be a positive
-    whole number of steps up to 1e-9 of a step (so 0.3 / 0.01 counts as 30)."""
-    steps = t / dt
-    n = round(steps) if np.isfinite(steps) else 0
-    if n < 1 or abs(steps - n) > 1e-9:
-        raise ValueError(f"horizon {t!r} must be a positive whole number of "
-                         f"time steps of dt={dt!r}")
-    return int(n)
+def horizon_steps(t_list, dt: float) -> list[int]:
+    """Numbers of ``dt`` steps in the horizons ``t_list``.
+
+    The horizons must be positive and strictly increasing, each a whole
+    number of steps up to 1e-9 of a step (so 0.3 / 0.01 counts as 30), and
+    no two may fall on one step.
+    """
+    ts = [float(t) for t in t_list]
+    if not ts or any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError("t_list must be positive and strictly increasing")
+    counts = []
+    for t in ts:
+        steps = t / dt
+        n = round(steps) if np.isfinite(steps) else 0
+        if n < 1 or abs(steps - n) > 1e-9:
+            raise ValueError(f"horizon {t!r} must be a positive whole number of "
+                             f"time steps of dt={dt!r}")
+        counts.append(int(n))
+    if any(b == a for a, b in zip(counts, counts[1:])):
+        raise ValueError("two snapshot times fall on the same time step")
+    return counts
 
 
 def simulate_terminal(system: SdeSystem, x0: Array, t: float, cfg: FkConfig,
@@ -381,22 +411,24 @@ def simulate_terminal(system: SdeSystem, x0: Array, t: float, cfg: FkConfig,
     Returns the (n_paths, d) states at time ``t``, or a dict of snapshots
     ``{t_i: states}`` when ``snapshot_times`` is given (each snapshot equals
     what a separate run to that horizon would produce, because the normals
-    are keyed by step index).  Every horizon must be a whole number of
-    steps, and no two snapshot times may share a step.
+    are keyed by step index).  The horizons are checked by
+    :func:`horizon_steps`; ``snapshot_times`` must be increasing.  The states
+    are stepped between two buffers allocated once.
     """
     x0 = np.asarray(x0, dtype=float)
-    n_steps = _whole_steps(t, cfg.dt)
+    n_steps, = horizon_steps([t], cfg.dt)
     want = {}
     if snapshot_times is not None:
-        want = {_whole_steps(ti, cfg.dt): float(ti) for ti in snapshot_times}
-        if len(want) < len(snapshot_times):
-            raise ValueError("two snapshot times fall on the same time step")
-        n_steps = max(n_steps, max(want))
+        steps = horizon_steps(snapshot_times, cfg.dt)
+        want = {n: float(ti) for n, ti in zip(steps, snapshot_times)}
+        n_steps = max(n_steps, steps[-1])
     X = np.tile(x0, (cfg.n_paths, 1))
+    Xn, noise = np.empty_like(X), np.empty_like(X)
     normals = _NormalStream(cfg, 0, np.empty((cfg.n_paths, system.dim_noise)))
     snaps = {}
     for s in range(n_steps):
-        X = em_step(system, X, cfg.dt, normals.draw(s))
+        _em_step(system, X, normals.draw(s), cfg.dt, Xn, noise)
+        X, Xn = Xn, X
         if (s + 1) in want:
             snaps[want[s + 1]] = X.copy()
     return snaps if snapshot_times is not None else X

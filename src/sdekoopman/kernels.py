@@ -41,6 +41,34 @@ def _sq_dists(A: Array, Bt: Array, out: Array, scratch: Array) -> Array:
     return out
 
 
+def first_close_pair(points: Array, tol: float):
+    """The first pair ``(i, j)``, ``i < j``, in row-major order, of rows of
+    ``points`` at most ``tol`` apart, or None when there is none.
+
+    Squared distances are taken in row blocks of at most ``_CHUNK_BYTES``,
+    each block against the rows from its own first row on.  They are
+    symmetric bit for bit, so the first hit off the diagonal lies above it: a
+    hit ``(i, j)`` with ``j < i`` is the hit ``(j, i)`` of an earlier row.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts.shape[0]
+    rows = max(1, _CHUNK_BYTES // max(1, 8 * n))
+    pts_t = np.ascontiguousarray(pts.T)
+    buf, scratch = np.empty(min(rows, n) * n), np.empty(min(rows, n) * n)
+    tol2 = tol * tol
+    for i in range(0, n, rows):
+        shape = (min(rows, n - i), n - i)
+        size = shape[0] * shape[1]
+        blk = _sq_dists(pts[i:i + rows], pts_t[:, i:], buf[:size].reshape(shape),
+                        scratch[:size].reshape(shape))
+        np.fill_diagonal(blk, np.inf)
+        near = np.flatnonzero(blk.min(axis=1) <= tol2)
+        if near.size:
+            r = int(near[0])
+            return i + r, i + int(np.flatnonzero(blk[r] <= tol2)[0])
+    return None
+
+
 def _pair(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -82,7 +110,9 @@ class GaussianKernel:
         out = np.empty((X.shape[0], Y.shape[0]))
         rows = max(1, _CHUNK_BYTES // max(1, 8 * Y.shape[0]))
         Yt = np.ascontiguousarray(Y.T)
-        scratch = np.empty((min(rows, X.shape[0]), Y.shape[0]))
+        # _sq_dists touches scratch only from the second coordinate on, so a
+        # 1-D call allocates no scratch block and passes its output instead
+        scratch = np.empty((min(rows, X.shape[0]), Y.shape[0])) if X.shape[1] > 1 else out
         for i in range(0, X.shape[0], rows):
             blk = out[i:i + rows]
             _sq_dists(X[i:i + rows], Yt, blk, scratch[:blk.shape[0]])

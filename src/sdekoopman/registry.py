@@ -99,11 +99,19 @@ def make_ou(theta: float = 1.0, sigma: float = 0.5) -> ModelSetup:
     )
 
 
+def _quadratic_drift(x):
+    # -x + 0.3 x^2 with one temporary, rounded as that expression rounds
+    g = np.square(x)
+    g *= 0.3
+    g -= x
+    return g
+
+
 def make_quadratic(sigma: float = 0.3) -> ModelSetup:
     A = np.array([[-1.0]])
     system = SdeSystem(
         dim_state=1, dim_noise=1,
-        drift=lambda x: -x + 0.3 * x**2,
+        drift=_quadratic_drift,
         diffusion_factor=constant_diffusion(np.array([[sigma]])),
         label=f"quadratic(sigma={sigma:g})",
     )

@@ -20,7 +20,7 @@ import numpy as np
 from .collocation import (condition_number, make_grid, pde_residual,
                           residual_test_points, solve_system)
 from .config import ALLOWED_METRICS
-from .feynman_kac import FkConfig, fk_estimate, simulate_terminal
+from .feynman_kac import FkConfig, fk_estimate, horizon_steps, simulate_terminal
 from .kernels import GaussianKernel
 from .models import Domain, EigenPair, LinearDecomposition, SdeSystem, halton_points, tensor_points
 from .registry import ModelSetup, get_model
@@ -83,8 +83,7 @@ def semigroup_curve(system: SdeSystem, phi: Callable, lam: float, x0: Array,
     ``semigroup_check`` at that horizon.
     """
     ts = [float(t) for t in t_list]
-    if not ts or any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_list must be positive and strictly increasing")
+    horizon_steps(ts, cfg.dt)
     x0 = np.asarray(x0, dtype=float)
     pred_base = float(np.atleast_1d(phi(x0[None, :]))[0])
     if abs(pred_base) < 1e-300:

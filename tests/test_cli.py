@@ -306,6 +306,27 @@ class TestSemigroupCurveCommand:
                      "--out", str(tmp_path / "sg")]) == 2
         assert "whole number of time steps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("t_list, message", [
+        ("", "positive and strictly increasing"),
+        ("0.5,0.1", "positive and strictly increasing"),
+        ("-0.1", "positive and strictly increasing"),
+        ("0.1,0.104", "whole number of time steps"),
+        ("0.1,inf", "whole number of time steps"),
+        ("0.1,0.1000000000001", "same time step"),
+    ])
+    def test_bad_t_list_rejected_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                t_list, message):
+        import sdekoopman.validation as validation
+
+        def boom(*args, **kwargs):
+            raise AssertionError("solved before checking --t-list")
+
+        monkeypatch.setattr(validation, "solve_system", boom)
+        cfg = write_config(tmp_path, OU_DOC)
+        assert main(["semigroup-curve", "--config", cfg, "--t-list", t_list,
+                     "--out", str(tmp_path / "sg")]) == 2
+        assert message in capsys.readouterr().err
+
     def test_computes_no_report_metrics(self, tmp_path, monkeypatch):
         no_svd_no_residual(monkeypatch)
         cfg = write_config(tmp_path, OU_DOC)

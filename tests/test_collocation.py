@@ -67,6 +67,62 @@ class TestMakeGrid:
         assert CollocationGrid(points=pts).n_points == 25
 
 
+def kdtree_first_pair(pts):
+    """The k-d tree oracle: the smallest pair at most 1e-12 apart, or None."""
+    from scipy.spatial import cKDTree
+    close = cKDTree(pts).query_pairs(1e-12)
+    return min(close) if close else None
+
+
+class TestCoincidentNodes:
+    """The blocked numpy check against ``cKDTree.query_pairs`` as the oracle."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("chunk_bytes", [256 << 10, 8 * 40 * 3])
+    def test_matches_kdtree_oracle(self, monkeypatch, d, chunk_bytes):
+        # 8 * 40 * 3 bytes is a block of 3 rows of the 40 x 40 squared
+        # distances, so most planted pairs straddle blocks; the default cap
+        # takes every row in one block
+        import sdekoopman.kernels as kernels
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(100 + d)
+        for trial in range(20):
+            pts = rng.uniform(-1.0, 1.0, size=(40, d))
+            i, j = sorted(rng.choice(40, size=2, replace=False))
+            k, m = sorted(rng.choice(40, size=2, replace=False))
+            offset = rng.standard_normal(d)
+            offset /= np.linalg.norm(offset)
+            pts[m] = pts[k] + 2e-12 * offset  # accepted
+            assert kdtree_first_pair(pts) is None
+            CollocationGrid(points=pts)
+            pts[j] = pts[i] + 5e-13 * offset  # rejected
+            want = kdtree_first_pair(pts)
+            assert want is not None
+            with pytest.raises(ValueError, match=rf"grid points {want[0]} and {want[1]} coincide"):
+                CollocationGrid(points=pts)
+
+    def test_first_pair_across_blocks(self, monkeypatch):
+        # blocks of 2 rows; the first pair is reported whichever block holds
+        # it, and a pair inside one block is not reported as its mirror (5, 4)
+        import sdekoopman.kernels as kernels
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * 8 * 2)
+        pts = np.arange(8.0)[:, None]
+        pts[6] = pts[1]
+        pts[5] = pts[4] + 1e-13
+        with pytest.raises(ValueError, match="grid points 1 and 6 coincide"):
+            CollocationGrid(points=pts)
+        pts[7] = pts[0]
+        with pytest.raises(ValueError, match="grid points 0 and 7 coincide"):
+            CollocationGrid(points=pts)
+        pts = np.arange(8.0)[:, None]
+        pts[5] = pts[4] + 1e-13  # only a pair inside the third block
+        with pytest.raises(ValueError, match="grid points 4 and 5 coincide"):
+            CollocationGrid(points=pts)
+        pts[5] = pts[3]  # a pair across the second and third blocks
+        with pytest.raises(ValueError, match="grid points 3 and 5 coincide"):
+            CollocationGrid(points=pts)
+
+
 def ou_assembled():
     s = get_model("ou")
     grid = make_grid(s.domain, s.grid_spec)

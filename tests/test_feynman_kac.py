@@ -437,6 +437,19 @@ class TestSimulator:
         direct = simulate_terminal(s, np.array([0.5]), 0.2, cfg)
         assert np.array_equal(snaps[0.2], direct)
 
+    def test_blowup_reports_the_state_before_the_step(self):
+        # from x0 = 1 the first step reaches about 1e198, which is finite; the
+        # second squares it to inf, and the error names the first step's state
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = SdeSystem(dim_state=1, dim_noise=1, drift=lambda x: 1e200 * x**2,
+                          diffusion_factor=constant_diffusion(np.array([[0.1]])))
+            cfg = FkConfig(n_paths=8, seed=5)
+            before = simulate_terminal(s, np.array([1.0]), cfg.dt, cfg)
+            assert np.all(np.isfinite(before))
+            with pytest.raises(EvaluationError, match="blew up") as info:
+                simulate_terminal(s, np.array([1.0]), 2 * cfg.dt, cfg)
+        assert str(info.value).endswith(f"from state {before[0]}")
+
 
 class TestCsv:
     def test_columns_and_determinism(self, ou_setup):
