@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import AssemblyError, SingularSystemError
 from .kernels import GaussianKernel, first_close_pair
-from .models import Domain, EigenPair, LinearDecomposition, SdeSystem, tensor_points
+from .models import (Domain, EigenPair, LinearDecomposition, SdeSystem, is_int,
+                     tensor_points)
 
 Array = np.ndarray
 
@@ -45,6 +46,8 @@ class GridSpec:
     def __post_init__(self):
         if self.kind not in GRID_KINDS:
             raise ValueError(f"unknown grid kind '{self.kind}'; expected one of {GRID_KINDS}")
+        if not is_int(self.n):
+            raise ValueError(f"grid count n must be an integer, got {self.n!r}")
         if self.n < 2:
             raise ValueError("grid counts must be >= 2")
 
@@ -103,23 +106,24 @@ class AssembledSystem:
     regularization: float
 
 
-def _half_trace_term(K: Array, diff: Array, a: Array, l2: float) -> Array:
+def _half_trace_term(K: Array, diff: Array, S: Array, l2: float) -> Array:
     """``(1/2) Tr[a(x_i) hess_x k(x_i, y_j)]`` from ``K``, ``diff[i, j] = x_i - y_j``,
-    ``a`` stacked (n, d, d) and the squared lengthscale ``l2``; shape (n, N)."""
+    ``S`` the diffusion factors sigma(x_i) stacked (n, d, m) and the squared
+    lengthscale ``l2``; shape (n, N).  ``a = sigma sigma^T`` is formed, never
+    inverted, so the term is exact for singular ``a`` too."""
+    a = np.einsum("idm,iem->ide", S, S)
     quad = np.einsum("ijd,ide,ije->ij", diff, a, diff)
     tr = np.einsum("idd->i", a)
     return 0.5 * K * (quad / l2**2 - tr[:, None] / l2)
 
 
 def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
-             kern: GaussianKernel, grid: CollocationGrid, gamma: float,
-             degenerate_mode: bool = False) -> AssembledSystem:
+             kern: GaussianKernel, grid: CollocationGrid, gamma: float) -> AssembledSystem:
     """Assemble the collocation system ``(L + D - lambda K + gamma I, f)``.
 
-    With ``degenerate_mode`` the diffusion entries use the vector-field form
-    ``(1/2) sum_k (sigma_k . grad)^2 k``; otherwise the Hessian-trace form
-    with ``a = sigma sigma^T``, which is never inverted.  Both are exact for
-    any sigma, singular included, and give D = 0 exactly when sigma vanishes.
+    The diffusion entries are the Hessian-trace form of
+    :func:`_half_trace_term`: exact for any sigma, singular included, and
+    D = 0 exactly when sigma vanishes.
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
@@ -132,13 +136,7 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     G = system.drift_at(X)
     L = -(np.einsum("id,ijd->ij", G, diff) / l2) * K
 
-    S = system.sigma_at(X)  # (N, d, m)
-    if degenerate_mode:
-        proj = np.einsum("idm,ijd->ijm", S, diff)
-        sq_norms = (S**2).sum(axis=(1, 2))  # Tr[a(x_i)]
-        D = 0.5 * K * ((proj**2).sum(axis=2) / l2**2 - sq_norms[:, None] / l2)
-    else:
-        D = _half_trace_term(K, diff, np.einsum("idm,iem->ide", S, S), l2)
+    D = _half_trace_term(K, diff, system.sigma_at(X), l2)
 
     f = decomp.nonlinear_at(X) @ eigenpair.left_eigenvector
     M = L + D - eigenpair.eigenvalue * K + gamma * np.eye(N)
@@ -193,17 +191,15 @@ def solve(asys: AssembledSystem, condition: bool = True):
 
 @dataclass(frozen=True)
 class CollocationSolution:
-    """Kernel expansion of the nonlinear correction h, with phi = w^T x + h.
+    """Kernel expansion of the nonlinear correction h, with phi = w^T (x - x*) + h.
 
-    ``decomp`` may be None for solutions restored from JSON; evaluation only
-    needs the coefficients, grid, kernel, eigenpair and equilibrium.
+    The equilibrium ``x*`` defaults to the origin.
     """
 
     coefficients: Array
     grid: CollocationGrid
     kernel: GaussianKernel
     eigenpair: EigenPair
-    decomp: Optional[LinearDecomposition] = None
     equilibrium: Optional[Array] = None
 
     def __post_init__(self):
@@ -213,10 +209,7 @@ class CollocationSolution:
         if not np.all(np.isfinite(alpha)):
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", alpha)
-        eq = self.equilibrium
-        if eq is None:
-            eq = (self.decomp.equilibrium if self.decomp is not None
-                  else np.zeros(self.grid.dim))
+        eq = np.zeros(self.grid.dim) if self.equilibrium is None else self.equilibrium
         object.__setattr__(self, "equilibrium", np.asarray(eq, dtype=float))
 
     def eval_h(self, x: Array):
@@ -242,16 +235,15 @@ class CollocationSolution:
 
 def solve_system(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
                  kern: GaussianKernel, grid: CollocationGrid, gamma: float,
-                 degenerate_mode: bool = False, condition: bool = True):
+                 condition: bool = True):
     """Assemble and solve in one step; returns (solution, assembled, cond).
 
     ``condition`` is passed to :func:`solve`.
     """
-    asys = assemble(system, decomp, eigenpair, kern, grid, gamma, degenerate_mode)
+    asys = assemble(system, decomp, eigenpair, kern, grid, gamma)
     alpha, cond = solve(asys, condition)
     sol = CollocationSolution(coefficients=alpha, grid=grid, kernel=kern,
-                              eigenpair=eigenpair, decomp=decomp,
-                              equilibrium=decomp.equilibrium)
+                              eigenpair=eigenpair, equilibrium=decomp.equilibrium)
     return sol, asys, cond
 
 
@@ -273,7 +265,6 @@ def pde_residual(sol: CollocationSolution, system: SdeSystem, test_points) -> Re
     X = np.atleast_2d(np.asarray(test_points, dtype=float))
     G = system.drift_at(X)
     S = system.sigma_at(X)
-    a_all = np.einsum("ndm,nem->nde", S, S)
     w = sol.eigenpair.left_eigenvector
     lam = sol.eigenpair.eigenvalue
     alpha = sol.coefficients
@@ -282,7 +273,7 @@ def pde_residual(sol: CollocationSolution, system: SdeSystem, test_points) -> Re
     diff = X[:, None, :] - sol.grid.points[None, :, :]
     grad_phi = w[None, :] - np.einsum("njd,nj,j->nd", diff, K, alpha) / l2
     phi = (X - sol.equilibrium) @ w + K @ alpha
-    r = (np.einsum("nd,nd->n", G, grad_phi) + _half_trace_term(K, diff, a_all, l2) @ alpha
+    r = (np.einsum("nd,nd->n", G, grad_phi) + _half_trace_term(K, diff, S, l2) @ alpha
          - lam * phi)
     r = np.abs(r)
     return ResidualStats(mean=float(r.mean()), max=float(r.max()), per_point=r)

@@ -70,6 +70,7 @@ class RunConfig:
             params = {k: v for k, v in model.items() if k != "name"}
         else:
             raise ConfigError("'model' must be a name or an object")
+        from .models import is_int
         from .registry import MODEL_NAMES, MODEL_PARAMS
         if name not in MODEL_PARAMS:
             raise ConfigError(f"unknown model '{name}'; registered: "
@@ -83,7 +84,7 @@ class RunConfig:
             _reject_unknown(grid, _GRID_KEYS, "grid_spec")
             if "kind" not in grid or "n" not in grid:
                 raise ConfigError("grid_spec requires 'kind' and 'n'")
-            grid = {"kind": str(grid["kind"]), "n": int(grid["n"])}
+            grid = {"kind": str(grid["kind"]), "n": grid["n"]}
 
         fk = doc.get("fk", {})
         if not isinstance(fk, dict):
@@ -106,7 +107,8 @@ class RunConfig:
 
         seed = doc.get("seed")
         if seed is not None:
-            seed = int(seed)
+            if not is_int(seed):
+                raise ConfigError(f"seed must be an integer, got {seed!r}")
             if not 0 <= seed < 2**64:
                 raise ConfigError("seed must be a 64-bit unsigned integer")
 
@@ -146,10 +148,10 @@ class RunConfig:
 
     def effective_seed(self, override: Optional[int] = None) -> int:
         if override is not None:
-            return int(override)
+            return override
         if self.seed is not None:
             return self.seed
-        return int(self.fk.get("seed", 0))
+        return self.fk.get("seed", 0)
 
     def wanted_metrics(self) -> tuple:
         return ALLOWED_METRICS if self.metrics is None else self.metrics

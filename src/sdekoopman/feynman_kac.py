@@ -39,7 +39,7 @@ from numpy.random import Generator, Philox
 from .collocation import CollocationGrid, CollocationSolution
 from .errors import EvaluationError, SingularSystemError
 from .kernels import GaussianKernel
-from .models import Domain, EigenPair, LinearDecomposition, SdeSystem
+from .models import Domain, EigenPair, LinearDecomposition, SdeSystem, is_int
 
 Array = np.ndarray
 
@@ -57,9 +57,12 @@ class FkConfig:
     antithetic: bool = False
 
     def __post_init__(self):
+        for key, value in (("n_paths", self.n_paths), ("seed", self.seed)):
+            if not is_int(value):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.t_max < self.dt:
+        if not self.t_max >= self.dt:
             raise ValueError("t_max must be >= dt")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")

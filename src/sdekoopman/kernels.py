@@ -7,9 +7,10 @@ The closed forms used throughout::
     hess_x k       = [ (x-y)(x-y)^T / l^4 - I / l^2 ] * k
 
 The generator's second-order term enters the collocation system through
-``(1/2) Tr[a(x_i) hess_x k(x_i, x_j)]``, in a trace form or a vector-field form
-``(1/2) sum_k (sigma_k . grad)^2 k``.  Both are exact for any sigma, singular
-a(x) included: the trace form builds a = sigma sigma^T and never inverts it.
+``(1/2) Tr[a(x_i) hess_x k(x_i, x_j)]``, which builds a = sigma sigma^T and never
+inverts it, so it is exact for singular a(x) too.  The pairwise entries here
+also give the equivalent vector-field form ``(1/2) sum_k (sigma_k . grad)^2 k``,
+the tests' oracle for the assembled matrix.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ construction and falls back to a row loop otherwise.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -26,6 +27,11 @@ from .errors import EigenstructureError, EvaluationError
 Array = np.ndarray
 
 _EQUILIBRIUM_TOL = 1e-10
+
+
+def is_int(value) -> bool:
+    """True for an integer (numpy integers included) that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _as_point(x, dim, name="x"):
@@ -280,7 +286,7 @@ def ellipticity_level(system: SdeSystem, domain: Domain, n_probe: int = 128) -> 
     """Smallest eigenvalue of a(x) minimized over quasi-random probes.
 
     A strictly positive value flags the uniformly elliptic regime; zero flags
-    degenerate diffusion (both assembly forms stay exact there).
+    degenerate diffusion (the Hessian-trace assembly stays exact there).
     """
     if n_probe < 1:
         raise ValueError("n_probe must be >= 1")

@@ -14,9 +14,8 @@ used by the corresponding benchmark experiment.  Registered names:
                    lambda = -1, w = (1, 0.5), exact phi(x) = w . x.
 * ``langevin``  -- underdamped Langevin in (q, p) with V(q) = q^2 / 2,
                    dq = p dt, dp = (-q - gamma p) dt + sqrt(2 gamma / beta) dW;
-                   the diffusion tensor is singular.  Assembly keeps the
-                   vector-field entries (the tests' bit pins were recorded
-                   with them; the trace form is exact too).  Defaults
+                   the diffusion tensor is singular, which the Hessian-trace
+                   assembly handles as is (it never inverts a).  Defaults
                    gamma=2.5, beta=1 keep the spectrum real ({-0.5, -2}).
 """
 
@@ -52,7 +51,6 @@ def constant_diffusion(B: Array) -> Callable:
 class ModelSetup:
     """Everything needed to run one benchmark end to end."""
 
-    name: str
     system: SdeSystem
     domain: Domain
     decomp: LinearDecomposition
@@ -60,10 +58,8 @@ class ModelSetup:
     lengthscale: float
     grid_spec: GridSpec
     gamma: float
-    degenerate_mode: bool = False
     exact_phi: Optional[Callable] = None
     semigroup_x0: Optional[Array] = None
-    params: dict = None
 
     def with_overrides(self, lengthscale=None, grid_spec=None, gamma=None,
                        lambda_select=None) -> "ModelSetup":
@@ -90,12 +86,11 @@ def make_ou(theta: float = 1.0, sigma: float = 0.5) -> ModelSetup:
     decomp = linearize(system, a_matrix=A)
     pair = left_eigenpair(decomp, which=-theta)
     return ModelSetup(
-        name="ou", system=system, domain=Domain(lower=[-2.5], upper=[2.5]),
+        system=system, domain=Domain(lower=[-2.5], upper=[2.5]),
         decomp=decomp, eigenpair=pair, lengthscale=1.0,
         grid_spec=GridSpec("uniform_1d", 40), gamma=1e-4,
         exact_phi=lambda x: np.atleast_2d(x)[:, 0],
         semigroup_x0=np.array([1.0]),
-        params={"theta": theta, "sigma": sigma},
     )
 
 
@@ -118,11 +113,10 @@ def make_quadratic(sigma: float = 0.3) -> ModelSetup:
     decomp = linearize(system, a_matrix=A)
     pair = left_eigenpair(decomp, which=-1.0)
     return ModelSetup(
-        name="quadratic", system=system, domain=Domain(lower=[-1.2], upper=[1.2]),
+        system=system, domain=Domain(lower=[-1.2], upper=[1.2]),
         decomp=decomp, eigenpair=pair, lengthscale=0.8,
         grid_spec=GridSpec("uniform_1d", 50), gamma=1e-4,
         semigroup_x0=np.array([1.0]),
-        params={"sigma": sigma},
     )
 
 
@@ -139,13 +133,11 @@ def make_linear2d() -> ModelSetup:
     pair = left_eigenpair(decomp, which=-1.0)
     w = pair.left_eigenvector
     return ModelSetup(
-        name="linear2d", system=system,
-        domain=Domain(lower=[-1.5, -1.5], upper=[1.5, 1.5]),
+        system=system, domain=Domain(lower=[-1.5, -1.5], upper=[1.5, 1.5]),
         decomp=decomp, eigenpair=pair, lengthscale=1.0,
         grid_spec=GridSpec("tensor", 15), gamma=1e-4,
         exact_phi=lambda x, _w=w: np.atleast_2d(x) @ _w,
         semigroup_x0=np.array([1.0, 0.5]),
-        params={},
     )
 
 
@@ -163,13 +155,10 @@ def make_langevin(gamma: float = 2.5, beta: float = 1.0) -> ModelSetup:
     decomp = linearize(system, a_matrix=A)
     pair = left_eigenpair(decomp)  # slowest real mode
     return ModelSetup(
-        name="langevin", system=system,
-        domain=Domain(lower=[-2.0, -2.0], upper=[2.0, 2.0]),
+        system=system, domain=Domain(lower=[-2.0, -2.0], upper=[2.0, 2.0]),
         decomp=decomp, eigenpair=pair, lengthscale=1.0,
         grid_spec=GridSpec("tensor", 10), gamma=1e-4,
-        degenerate_mode=True,
         semigroup_x0=np.array([1.0, 0.5]),
-        params={"gamma": gamma, "beta": beta},
     )
 
 

@@ -196,8 +196,7 @@ def solve_and_report(setup: ModelSetup, seed: int, fk: Optional[FkConfig] = None
     # the condition number is the first metric; solve computes it only when
     # the LU fails or gives non-finite coefficients
     sol, asys, _ = solve_system(setup.system, setup.decomp, setup.eigenpair,
-                                kern, grid, setup.gamma,
-                                degenerate_mode=setup.degenerate_mode, condition=False)
+                                kern, grid, setup.gamma, condition=False)
     cfg = fk or FkConfig(n_paths=SEMIGROUP_PATHS, seed=seed)
 
     def report():

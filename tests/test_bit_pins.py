@@ -110,14 +110,14 @@ def solved(name, **params):
     s = get_model(name, **params)
     grid = make_grid(s.domain, s.grid_spec)
     sol, _, _ = solve_system(s.system, s.decomp, s.eigenpair, GaussianKernel(s.lengthscale),
-                             grid, s.gamma, degenerate_mode=s.degenerate_mode)
+                             grid, s.gamma)
     return s, sol
 
 
 MODELS = {
-    "quadratic": ("quadratic", {"sigma": 0.3}),  # 1-d, trace form
-    "linear2d": ("linear2d", {}),  # 2-d, trace form
-    "langevin": ("langevin", {}),  # 2-d, vector-field form
+    "quadratic": ("quadratic", {"sigma": 0.3}),  # 1-d
+    "linear2d": ("linear2d", {}),  # 2-d
+    "langevin": ("langevin", {}),  # 2-d, singular diffusion
 }
 
 

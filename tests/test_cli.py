@@ -394,6 +394,17 @@ class TestExitCodes:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "uniform_1d requires a 1-dimensional domain" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"fk": {"n_paths": 200.0}}, "n_paths must be an integer, got 200.0"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"fk": {"seed": 1.9}}, "seed must be an integer, got 1.9"),
+        ({"grid_spec": {"kind": "uniform_1d", "n": 12.7}}, "n must be an integer, got 12.7"),
+    ])
+    def test_non_integer_count_or_seed_exits_2(self, tmp_path, capsys, doc, message):
+        cfg = write_config(tmp_path, {"model": "ou", **doc})
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_duplicate_fit_queries_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, OU_DOC)
         queries = tmp_path / "q.csv"

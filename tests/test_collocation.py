@@ -156,32 +156,24 @@ class TestAssemble:
             + s.gamma * np.eye(50)
         assert np.array_equal(asys.system_matrix, expected)
 
-    def test_degenerate_mode_matches_elliptic_for_full_rank(self):
+    def test_trace_form_matches_vector_field_oracle(self):
         # the trace form never inverts a = sigma sigma^T, so it agrees with
-        # the vector-field form for singular diffusion (langevin) as well
+        # the vector-field entries for singular diffusion (langevin) as well
         for s in (get_model("linear2d"), get_model("langevin")):
             grid = make_grid(s.domain, GridSpec("tensor", 6))
             kern = GaussianKernel(s.lengthscale)
-            el = assemble(s.system, s.decomp, s.eigenpair, kern, grid, s.gamma)
-            dg = assemble(s.system, s.decomp, s.eigenpair, kern, grid, s.gamma,
-                          degenerate_mode=True)
-            assert np.max(np.abs(el.diff_mat - dg.diff_mat)) <= 1e-12
-            assert np.max(np.abs(el.system_matrix - dg.system_matrix)) <= 1e-12
-
-    def test_degenerate_mode_with_zero_sigma(self):
-        s = get_model("quadratic", sigma=0.0)
-        grid = make_grid(s.domain, GridSpec("uniform_1d", 10))
-        kern = GaussianKernel(s.lengthscale)
-        dg = assemble(s.system, s.decomp, s.eigenpair, kern, grid, s.gamma,
-                      degenerate_mode=True)
-        assert np.array_equal(dg.diff_mat, np.zeros((10, 10)))
+            asys = assemble(s.system, s.decomp, s.eigenpair, kern, grid, s.gamma)
+            X = grid.points
+            sigma = s.system.diffusion_factor
+            oracle = np.array([[kern.diffusion_entry_vector_fields(xi, xj, sigma(xi))
+                                for xj in X] for xi in X])
+            assert np.max(np.abs(asys.diff_mat - oracle)) <= 1e-12
 
     def test_langevin_uses_singular_tensor(self, langevin_setup):
         s = langevin_setup
         grid = make_grid(s.domain, GridSpec("tensor", 5))
         kern = GaussianKernel(s.lengthscale)
-        asys = assemble(s.system, s.decomp, s.eigenpair, kern, grid, s.gamma,
-                        degenerate_mode=True)
+        asys = assemble(s.system, s.decomp, s.eigenpair, kern, grid, s.gamma)
         # only the momentum block diffuses: Tr(a) = 2 gamma / beta = 5
         assert np.diag(asys.diff_mat) == pytest.approx(np.full(25, -2.5), rel=1e-12)
 
@@ -261,7 +253,7 @@ class TestSolutionEvaluation:
         grid = make_grid(s.domain, s.grid_spec)
         sol = CollocationSolution(coefficients=np.zeros(40), grid=grid,
                                   kernel=GaussianKernel(1.0), eigenpair=s.eigenpair,
-                                  decomp=s.decomp)
+                                  equilibrium=s.decomp.equilibrium)
         xs = np.linspace(-2.4, 2.4, 7)[:, None]
         assert np.array_equal(sol.eval_h(xs), np.zeros(7))
         assert sol.eval_phi(np.array([0.7])) == 0.7

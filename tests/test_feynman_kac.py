@@ -109,6 +109,10 @@ class TestFkConfig:
             FkConfig(n_paths=0)
         with pytest.raises(ValueError):
             FkConfig(seed=-1)
+        with pytest.raises(ValueError, match="t_max must be >= dt"):
+            FkConfig(t_max=float("nan"))
+        with pytest.raises(ValueError, match="n_paths must be an integer"):
+            FkConfig(n_paths=True)
 
 
 class TestFkEstimate:

@@ -198,7 +198,6 @@ class TestRunExperiment:
         assert r.rmse_vs_exact is None
         assert np.isfinite(r.condition_number) and r.condition_number > 0
         assert np.isfinite(r.pde_residual_mean)
-        assert get_model("langevin").degenerate_mode is True
 
     def test_acceptance_bands_for_small_run(self):
         r = run_experiment("test1_ou", fk=SMALL_FK)
