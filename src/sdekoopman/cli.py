@@ -39,7 +39,7 @@ EXIT_NUMERICAL = 3
 def _schema_epilog():
     from .config import CONFIG_SCHEMA
     lines = ["config file keys:"]
-    for key, desc in CONFIG_SCHEMA.items():
+    for key, (_, desc) in CONFIG_SCHEMA.items():
         lines.append(f"  {key:<20} {desc}")
     return "\n".join(lines)
 
@@ -121,32 +121,28 @@ def _load_run(args):
     """Config, seed, model setup and FK settings of a config-driven command."""
     from .collocation import GridSpec
     from .config import load_config
-    from .errors import ConfigError
     from .registry import get_model
 
     cfg = load_config(args.config)
     seed = cfg.effective_seed(args.seed)
-    try:
-        setup = get_model(cfg.model_name, **cfg.model_params)
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(str(exc))
     grid_spec = None if cfg.grid_spec is None else GridSpec(**cfg.grid_spec)
-    setup = setup.with_overrides(lengthscale=cfg.kernel_lengthscale,
-                                 grid_spec=grid_spec, gamma=cfg.gamma,
-                                 lambda_select=cfg.lambda_select)
+    setup = get_model(cfg.model_name, **cfg.model_params).with_overrides(
+        lengthscale=cfg.kernel_lengthscale, grid_spec=grid_spec, gamma=cfg.gamma,
+        lambda_select=cfg.lambda_select)
     return cfg, seed, setup, _fk_config(cfg, seed)
 
 
 def _fk_config(cfg, seed):
-    from .errors import ConfigError
     from .feynman_kac import FkConfig
+    return FkConfig(**{**cfg.fk, "seed": seed})
 
-    fields = dict(cfg.fk)
-    fields["seed"] = seed
+
+def _floats(text, flag):
+    from .errors import ConfigError
     try:
-        return FkConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid fk settings: {exc}")
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"could not parse {flag} '{text}'")
 
 
 def _eigenfunction_curve_csv(sol, domain):
@@ -273,15 +269,11 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_semigroup_curve(args) -> int:
-    from .errors import ConfigError
     from .feynman_kac import horizon_steps
     from .validation import semigroup_curve, solve_and_report
 
     cfg, seed, setup, fk = _load_run(args)
-    try:
-        t_list = [float(t) for t in args.t_list.split(",") if t.strip()]
-    except ValueError:
-        raise ConfigError(f"could not parse --t-list '{args.t_list}'")
+    t_list = _floats(args.t_list, "--t-list")
     horizon_steps(t_list, fk.dt)  # before the solve, which a bad list would waste
 
     sol, _, _ = solve_and_report(setup, seed, fk=fk, metrics=())
@@ -314,10 +306,7 @@ def cmd_sweep(args) -> int:
                               f"not apply {', '.join(unused)}")
         seed = cfg.effective_seed(args.seed)
         fk = _fk_config(cfg, seed)
-    try:
-        sigmas = [float(s) for s in args.sigmas.split(",") if s.strip()]
-    except ValueError:
-        raise ConfigError(f"could not parse --sigmas '{args.sigmas}'")
+    sigmas = _floats(args.sigmas, "--sigmas")
     if not sigmas:
         raise ConfigError("--sigmas must contain at least one value")
 

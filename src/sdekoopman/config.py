@@ -1,13 +1,21 @@
 """Run configuration: a strict JSON document driving the CLI.
 
-Unknown keys are rejected by name (top level and nested), values are
-validated on load, and a parsed configuration round-trips losslessly through
-``to_dict`` / ``from_dict``.
+Each level of the document has one table of its keys and their kinds:
+``CONFIG_SCHEMA`` for the top level (it also feeds ``--help``),
+``MODEL_PARAMS`` for a model's parameters (all numbers), and ``_FK_SCHEMA``
+and ``_GRID_SCHEMA`` for ``fk`` and ``grid_spec``.  ``_checked`` rejects an
+unknown key or a value of the wrong kind by name when the file is loaded
+(a number is a finite JSON number, never a bool); range rules stay with the
+classes that use the values.  A parsed configuration round-trips losslessly
+through ``to_dict`` / ``from_dict``.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -15,29 +23,52 @@ from .errors import ConfigError
 
 ALLOWED_METRICS = ("condition_number", "pde_residual", "semigroup", "rmse", "max_abs_h")
 
-# key -> (description, default shown in --help)
-CONFIG_SCHEMA = {
-    "model": "registered model name or {'name': ..., <model params>} "
-             "(ou | quadratic | linear2d | langevin); required",
-    "kernel_lengthscale": "Gaussian kernel lengthscale; default: model preset",
-    "grid_spec": "{'kind': uniform_1d|tensor|sobol, 'n': int}; default: model preset",
-    "gamma": "ridge added to the collocation system matrix; default: model preset",
-    "lambda_select": "target eigenvalue of the linearization; default: model preset",
-    "fk": "{'dt': 0.01, 'n_paths': 10000, 't_max': 50.0, 'seed': 0, "
-          "'antithetic': false} (all optional)",
-    "metrics": f"subset of {list(ALLOWED_METRICS)}; default: all",
-    "output_dir": "directory for output files; default: current directory",
-    "seed": "master seed, overrides fk.seed; default: 0",
+NUMBER, INTEGER = "a number", "an integer"
+_KINDS = {
+    # finite as a JSON number is: no NaN, no Infinity, no int beyond a float
+    NUMBER: lambda v: (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                       and abs(v) <= sys.float_info.max),
+    INTEGER: lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    "a bool": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+    "a list": lambda v: isinstance(v, list),
+    "a name or an object": lambda v: isinstance(v, (str, dict)),
 }
 
-_FK_KEYS = ("dt", "n_paths", "t_max", "seed", "antithetic")
-_GRID_KEYS = ("kind", "n")
+# key -> (kind, description and default shown in --help)
+CONFIG_SCHEMA = {
+    "model": ("a name or an object",
+              "registered model name or {'name': ..., <model params>} "
+              "(ou | quadratic | linear2d | langevin); required"),
+    "kernel_lengthscale": (NUMBER, "Gaussian kernel lengthscale; default: model preset"),
+    "grid_spec": ("an object",
+                  "{'kind': uniform_1d|tensor|sobol, 'n': int}; default: model preset"),
+    "gamma": (NUMBER, "ridge added to the collocation system matrix; default: model preset"),
+    "lambda_select": (NUMBER,
+                      "target eigenvalue of the linearization; default: model preset"),
+    "fk": ("an object", "{'dt': 0.01, 'n_paths': 10000, 't_max': 50.0, 'seed': 0, "
+                        "'antithetic': false} (all optional)"),
+    "metrics": ("a list", f"subset of {list(ALLOWED_METRICS)}; default: all"),
+    "output_dir": ("a string", "directory for output files; default: current directory"),
+    "seed": (INTEGER, "master seed, overrides fk.seed; default: 0"),
+}
+_FK_SCHEMA = {"dt": NUMBER, "n_paths": INTEGER, "t_max": NUMBER, "seed": INTEGER,
+              "antithetic": "a bool"}
+_GRID_SCHEMA = {"kind": "a string", "n": INTEGER}
 
 
-def _reject_unknown(d: dict, allowed, where: str):
-    for key in d:
-        if key not in allowed:
+def _checked(obj, kinds: dict, where: str) -> dict:
+    """``obj`` itself once it is an object whose keys are all in ``kinds``
+    (key -> kind) and each value is of its key's kind."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    for key, value in obj.items():
+        if key not in kinds:
             raise ConfigError(f"unknown key '{key}' in {where}")
+        if not _KINDS[kinds[key]](value):
+            raise ConfigError(f"{key} must be {kinds[key]}, got {value!r}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -55,95 +86,63 @@ class RunConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("configuration must be a JSON object")
-        _reject_unknown(doc, CONFIG_SCHEMA, "configuration")
+        _checked(doc, {key: kind for key, (kind, _) in CONFIG_SCHEMA.items()},
+                 "configuration")
         if "model" not in doc:
             raise ConfigError("configuration requires a 'model' key")
         model = doc["model"]
         if isinstance(model, str):
-            name, params = model, {}
-        elif isinstance(model, dict):
-            if "name" not in model:
-                raise ConfigError("inline model spec requires a 'name' key")
-            name = model["name"]
-            params = {k: v for k, v in model.items() if k != "name"}
-        else:
-            raise ConfigError("'model' must be a name or an object")
-        from .models import is_int
+            model = {"name": model}
+        name = model.get("name")
         from .registry import MODEL_NAMES, MODEL_PARAMS
-        if name not in MODEL_PARAMS:
-            raise ConfigError(f"unknown model '{name}'; registered: "
-                              f"{', '.join(MODEL_NAMES)}")
-        _reject_unknown(params, MODEL_PARAMS[name], f"model '{name}'")
+        if name not in MODEL_NAMES:  # a tuple: any JSON value can be looked up
+            raise ConfigError(f"model name must be one of {', '.join(MODEL_NAMES)}, "
+                              f"got {name!r}")
+        params = _checked({k: v for k, v in model.items() if k != "name"},
+                          dict.fromkeys(MODEL_PARAMS[name], NUMBER), f"model '{name}'")
 
         grid = doc.get("grid_spec")
         if grid is not None:
-            if not isinstance(grid, dict):
-                raise ConfigError("'grid_spec' must be an object")
-            _reject_unknown(grid, _GRID_KEYS, "grid_spec")
-            if "kind" not in grid or "n" not in grid:
+            _checked(grid, _GRID_SCHEMA, "grid_spec")
+            if grid.keys() != _GRID_SCHEMA.keys():
                 raise ConfigError("grid_spec requires 'kind' and 'n'")
-            grid = {"kind": str(grid["kind"]), "n": grid["n"]}
 
-        fk = doc.get("fk", {})
-        if not isinstance(fk, dict):
-            raise ConfigError("'fk' must be an object")
-        _reject_unknown(fk, _FK_KEYS, "fk")
+        fk = _checked(doc.get("fk", {}), _FK_SCHEMA, "fk")
 
-        gamma = doc.get("gamma")
-        if gamma is not None and float(gamma) < 0:
+        if doc.get("gamma", 0) < 0:
             raise ConfigError("gamma must be nonnegative")
 
         metrics = doc.get("metrics")
         if metrics is not None:
-            if not isinstance(metrics, list):
-                raise ConfigError("'metrics' must be a list")
             for m in metrics:
                 if m not in ALLOWED_METRICS:
                     raise ConfigError(f"unknown metric '{m}'; allowed: "
                                       f"{', '.join(ALLOWED_METRICS)}")
             metrics = tuple(metrics)
 
-        seed = doc.get("seed")
-        if seed is not None:
-            if not is_int(seed):
-                raise ConfigError(f"seed must be an integer, got {seed!r}")
-            if not 0 <= seed < 2**64:
+        # checked here too, where a --seed override would hide fk.seed
+        for seed in (doc.get("seed"), fk.get("seed")):
+            if seed is not None and not 0 <= seed < 2**64:
                 raise ConfigError("seed must be a 64-bit unsigned integer")
 
         return RunConfig(
-            model_name=name, model_params=dict(params),
-            kernel_lengthscale=(None if doc.get("kernel_lengthscale") is None
-                                else float(doc["kernel_lengthscale"])),
-            grid_spec=grid,
-            gamma=None if gamma is None else float(gamma),
-            lambda_select=(None if doc.get("lambda_select") is None
-                           else float(doc["lambda_select"])),
+            model_name=name, model_params=params,
+            kernel_lengthscale=doc.get("kernel_lengthscale"),
+            grid_spec=None if grid is None else dict(grid),
+            gamma=doc.get("gamma"), lambda_select=doc.get("lambda_select"),
             fk=dict(fk), metrics=metrics,
-            output_dir=doc.get("output_dir"), seed=seed,
+            output_dir=doc.get("output_dir"), seed=doc.get("seed"),
         )
 
     def to_dict(self) -> dict:
-        model = self.model_name if not self.model_params else {
-            "name": self.model_name, **self.model_params}
-        doc = {"model": model}
-        if self.kernel_lengthscale is not None:
-            doc["kernel_lengthscale"] = self.kernel_lengthscale
-        if self.grid_spec is not None:
-            doc["grid_spec"] = dict(self.grid_spec)
-        if self.gamma is not None:
-            doc["gamma"] = self.gamma
-        if self.lambda_select is not None:
-            doc["lambda_select"] = self.lambda_select
-        if self.fk:
-            doc["fk"] = dict(self.fk)
-        if self.metrics is not None:
-            doc["metrics"] = list(self.metrics)
-        if self.output_dir is not None:
-            doc["output_dir"] = self.output_dir
-        if self.seed is not None:
-            doc["seed"] = self.seed
+        """The keys that were set, in ``CONFIG_SCHEMA`` order (each key but
+        ``model`` is the field of the same name)."""
+        doc = {"model": self.model_name if not self.model_params else {
+            "name": self.model_name, **self.model_params}}
+        for key in list(CONFIG_SCHEMA)[1:]:
+            value = getattr(self, key)
+            if value is not None and value != {}:
+                doc[key] = list(value) if key == "metrics" else copy.copy(value)
         return doc
 
     def effective_seed(self, override: Optional[int] = None) -> int:

@@ -60,6 +60,8 @@ class FkConfig:
         for key, value in (("n_paths", self.n_paths), ("seed", self.seed)):
             if not is_int(value):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
+        if not isinstance(self.antithetic, bool):
+            raise ValueError(f"antithetic must be a bool, got {self.antithetic!r}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.t_max >= self.dt:

@@ -179,7 +179,7 @@ def test_criterion_9_hutchinson_estimator():
                 f"d=1 Rademacher exact with zero variance")
 
 
-def _run_cli(args, cwd):
+def run_cli(args, cwd):
     # the package's own src directory, absolute, so the child imports the
     # code under test from any working directory
     src = os.path.dirname(os.path.dirname(os.path.abspath(sdekoopman.__file__)))
@@ -192,28 +192,32 @@ def _run_cli(args, cwd):
     return proc
 
 
-def test_criterion_10_thread_count_determinism(tmp_path):
+# the five criterion-10 commands; their file arguments are relative to the
+# directory that write_criterion_10_inputs fills and run_cli runs in
+CRITERION_10_COMMANDS = {
+    "solve": ["solve", "--config", "cfg.json"],
+    "fk": ["fk", "--config", "cfg.json", "--queries", "q.csv"],
+    "reproduce": ["reproduce", "test1"],
+    "semigroup-curve": ["semigroup-curve", "--config", "cfg.json", "--t-list", "0.1,0.3"],
+    "sweep": ["sweep", "--config", "cfg.json", "--sigmas", "0,0.3"],
+}
+
+
+def write_criterion_10_inputs(work):
     cfg_doc = {"model": {"name": "quadratic", "sigma": 0.3}, "seed": 42,
                "fk": {"n_paths": 300, "t_max": 3.0}}
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(cfg_doc))
-    queries = tmp_path / "q.csv"
-    queries.write_text("0.5\n-0.25\n")
+    (work / "cfg.json").write_text(json.dumps(cfg_doc))
+    (work / "q.csv").write_text("0.5\n-0.25\n")
 
-    commands = {
-        "solve": ["solve", "--config", str(cfg)],
-        "fk": ["fk", "--config", str(cfg), "--queries", str(queries)],
-        "reproduce": ["reproduce", "test1"],
-        "semigroup-curve": ["semigroup-curve", "--config", str(cfg),
-                            "--t-list", "0.1,0.3"],
-        "sweep": ["sweep", "--config", str(cfg), "--sigmas", "0,0.3"],
-    }
+
+def test_criterion_10_thread_count_determinism(tmp_path):
+    write_criterion_10_inputs(tmp_path)
     compared = 0
-    for name, args in commands.items():
+    for name, args in CRITERION_10_COMMANDS.items():
         outputs = {}
         for threads in ("1", "4"):
             out = tmp_path / f"{name}-t{threads}"
-            _run_cli([*args, "--out", str(out), "--threads", threads], tmp_path)
+            run_cli([*args, "--out", str(out), "--threads", threads], tmp_path)
             outputs[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert outputs["1"].keys() == outputs["4"].keys()
         for fname in outputs["1"]:
@@ -221,4 +225,4 @@ def test_criterion_10_thread_count_determinism(tmp_path):
                 f"{name}/{fname} differs between --threads 1 and --threads 4"
             compared += 1
     announce(10, f"{compared} output files byte-identical across --threads 1 vs 4 "
-                 f"for all {len(commands)} commands")
+                 f"for all {len(CRITERION_10_COMMANDS)} commands")

@@ -5,6 +5,9 @@ were merged into one place (one kernel pass in the residual, one tensor mesh
 builder, one semigroup path), on x86-64 with numpy 2.4 and OpenBLAS 0.3.31.
 A refactor of those paths must keep every value to the last bit: floats are
 compared through ``repr`` and arrays through the sha256 of their bytes.
+``CLI_PINS`` holds the sha256 of every file the criterion-10 commands write,
+recorded on the same machine; they equal the ``"cli"`` goldens of
+``bench/goldens.json``.
 """
 
 import hashlib
@@ -18,6 +21,7 @@ from sdekoopman import (Domain, FkConfig, GaussianKernel, fill_distance, get_mod
 from sdekoopman.cli import _eigenfunction_curve_csv
 from sdekoopman.collocation import GridSpec
 from sdekoopman.validation import boundary_points
+from test_acceptance import CRITERION_10_COMMANDS, run_cli, write_criterion_10_inputs
 
 PINS = {
     "residual_values-quadratic": [
@@ -102,6 +106,19 @@ PINS = {
 }
 
 
+CLI_PINS = {
+    "fk/fk_estimates.csv": "58f46782bc3c1bd573f932f9842701f2aab7e28bfa2eab3dec3acd177f530937",
+    "reproduce/summary.csv": "6fc447d2ce7800b58d7d7e47f72d33696ab14ef9c34ac8c112448993aef17d24",
+    "semigroup-curve/semigroup_curve.csv":
+        "592ca5d6b1ad3987c58d2319fd87d8ec67e832bfaf6ee4df7d6411ca70ea08bb",
+    "solve/eigenfunction_curve.csv":
+        "89c3521f5b91a14c07f042213f8d5d187f2bd07915e2e46da9c952eb5e05f055",
+    "solve/report.csv": "016100da9d167cfa268f87f1480073cd06a38413dbabfd7c6b5c2fd846addaa4",
+    "solve/solution.json": "d65c8c1f260bac6bcfaf9039707452a13ba7263b063bb4c9d122b59be641a50d",
+    "sweep/sweep.csv": "1405a61c873808382b1978e13c50308e3e61355a06df2e6270e7d6c0aa7f9850",
+}
+
+
 def sha(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a, dtype=float).tobytes()).hexdigest()
 
@@ -179,6 +196,17 @@ CASES += [(mesh_values, box) for box in BOXES]
 @pytest.mark.parametrize("fn, key", CASES, ids=[f"{fn.__name__}-{key}" for fn, key in CASES])
 def test_bits_unchanged(fn, key):
     assert fn(key) == PINS[f"{fn.__name__}-{key}"]
+
+
+def test_cli_outputs_unchanged(tmp_path):
+    write_criterion_10_inputs(tmp_path)
+    got = {}
+    for name, args in CRITERION_10_COMMANDS.items():
+        out = tmp_path / name
+        run_cli([*args, "--out", str(out), "--threads", "1"], tmp_path)
+        for path in sorted(out.iterdir()):
+            got[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == CLI_PINS
 
 
 if __name__ == "__main__":

@@ -399,11 +399,24 @@ class TestExitCodes:
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"fk": {"seed": 1.9}}, "seed must be an integer, got 1.9"),
         ({"grid_spec": {"kind": "uniform_1d", "n": 12.7}}, "n must be an integer, got 12.7"),
+        ({"gamma": True}, "gamma must be a number, got True"),
+        ({"gamma": "1e-4"}, "gamma must be a number, got '1e-4'"),
+        ({"gamma": float("nan")}, "gamma must be a number, got nan"),
+        ({"fk": {"t_max": float("inf")}}, "t_max must be a number, got inf"),
+        ({"model": {"name": "ou", "sigma": "0.5"}}, "sigma must be a number, got '0.5'"),
+        ({"model": {"name": "ou", "sigma": None}}, "sigma must be a number, got None"),
+        ({"fk": {"antithetic": "no"}}, "antithetic must be a bool, got 'no'"),
+        ({"fk": {"dt": "0.1"}}, "dt must be a number, got '0.1'"),
+        ({"lambda_select": [1]}, "lambda_select must be a number, got [1]"),
+        ({"output_dir": 5}, "output_dir must be a string, got 5"),
+        ({"fk": {"seed": 2**64}}, "seed must be a 64-bit unsigned integer"),
     ])
     def test_non_integer_count_or_seed_exits_2(self, tmp_path, capsys, doc, message):
+        # every wrong value is rejected at load, also where --seed replaces fk.seed
         cfg = write_config(tmp_path, {"model": "ou", **doc})
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert message in capsys.readouterr().err
+        for seed in ([], ["--seed", "3"]):
+            assert main(["solve", "--config", cfg, "--out", str(tmp_path), *seed]) == 2
+            assert message in capsys.readouterr().err
 
     def test_duplicate_fit_queries_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, OU_DOC)

@@ -113,6 +113,8 @@ class TestFkConfig:
             FkConfig(t_max=float("nan"))
         with pytest.raises(ValueError, match="n_paths must be an integer"):
             FkConfig(n_paths=True)
+        with pytest.raises(ValueError, match="antithetic must be a bool, got 'no'"):
+            FkConfig(antithetic="no")
 
 
 class TestFkEstimate:
