@@ -15,8 +15,10 @@ Exit codes: 0 ok, 1 benchmark band failed (reproduce), 2 config/input error
 (``ConfigError`` or any other ``ValueError``), 3 numerical failure (any other
 ``SdeKoopmanError`` or ``LinAlgError``); ``main`` maps exception types to
 codes in one place.  Identical invocations (same seed) produce byte-identical
-output files; ``--threads`` never changes results (BLAS pools are pinned for
-bitwise stability).
+output files.  ``--threads`` is the number of worker processes ``fk`` forks
+for its path simulation (default: the CPUs this process may use; small
+batches run serially) and never changes results; BLAS pools are pinned to
+one thread for bitwise stability.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed; overrides the config (default 0)")
         p.add_argument("--out", default=None,
                        help="output directory (default: config output_dir or '.')")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; must not and does not change results")
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker processes for fk's path simulation (default: "
+                            "the CPUs this process may use); never changes results")
         return p
 
     command("solve", cmd_solve, "solve the collocation system and report metrics")
@@ -223,7 +226,7 @@ def cmd_fk(args) -> int:
     queries = _read_queries(args.queries, setup.system.dim_state)
 
     estimates = fk_batch(setup.system, setup.decomp, setup.eigenpair,
-                         setup.domain, queries, fk)
+                         setup.domain, queries, fk, workers=args.threads)
     out = _outdir(args, cfg)
     _write(os.path.join(out, "fk_estimates.csv"),
            estimates_to_csv(estimates, queries))

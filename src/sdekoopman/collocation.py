@@ -125,6 +125,8 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     :func:`_half_trace_term`: exact for any sigma, singular included, and
     D = 0 exactly when sigma vanishes.
     """
+    if not np.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma!r}")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     X = grid.points
@@ -215,13 +217,18 @@ class CollocationSolution:
     def eval_h(self, x: Array):
         """Nonlinear correction ``h(x) = sum_j alpha_j k(x, x_j)``; batched.
 
-        The kernel rows are formed ``_EVAL_ROWS`` at a time.
+        The kernel rows are formed ``_EVAL_ROWS`` at a time, in one block
+        (and one scratch block) allocated for all of them.
         """
         x = np.asarray(x, dtype=float)
         X = np.atleast_2d(x)
+        centres = self.grid.points
         vals = np.empty(X.shape[0])
+        block = np.empty((min(_EVAL_ROWS, X.shape[0]), centres.shape[0]))
+        scratch = self.kernel.eval_scratch(block.shape[0], centres)
         for i in range(0, X.shape[0], _EVAL_ROWS):
-            K = self.kernel.eval_matrix(X[i:i + _EVAL_ROWS], self.grid.points)
+            K = self.kernel.eval_matrix(X[i:i + _EVAL_ROWS], centres,
+                                        out=block[:X.shape[0] - i], scratch=scratch)
             vals[i:i + _EVAL_ROWS] = K @ self.coefficients
         return float(vals[0]) if x.ndim == 1 else vals
 

@@ -18,7 +18,8 @@ batch are stepped together in blocks of at most ``_BLOCK_ROWS`` path rows
 the drift once on all live paths of the block, except that a query down to
 its last live path is evaluated on its own, as a standalone run evaluates it.
 Results are bit-reproducible and independent of evaluation order, of how the
-queries are grouped into blocks, and of thread count.
+queries are grouped into blocks, and of the number of worker processes that
+:func:`fk_batch` spreads them over.
 
 For negative eigenvalues the discount e^{-lambda t} grows without bound, so
 paths are also stopped once it would exceed ``DISCOUNT_GUARD``; such paths
@@ -30,6 +31,9 @@ unreliable (``all_capped``).
 from __future__ import annotations
 
 import io
+import os
+import pickle
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -176,6 +180,11 @@ def _horizon(lam: float, cfg: FkConfig):
     return cfg.t_max, False
 
 
+def _n_steps(t_cap: float, dt: float) -> int:
+    """Whole ``dt`` steps up to the time cap ``t_cap``."""
+    return int(np.floor(t_cap / dt + 1e-9))
+
+
 # Most path rows stepped together; bounds the working set of a batch.
 _BLOCK_ROWS = 1 << 16
 
@@ -221,7 +230,7 @@ def _fk_block(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPa
     w = eigenpair.left_eigenvector
     n_q, K, dt = len(points), cfg.n_paths, cfg.dt
     t_cap, guard_active = _horizon(lam, cfg)
-    n_steps = int(np.floor(t_cap / dt + 1e-9))
+    n_steps = _n_steps(t_cap, dt)
 
     Z = np.empty((n_q * K, system.dim_noise))
     normals = [_NormalStream(cfg, q, Z[j * K:(j + 1) * K]) for j, q in enumerate(streams)]
@@ -317,16 +326,120 @@ def fk_estimate(system: SdeSystem, decomp: LinearDecomposition, eigenpair: Eigen
     return est
 
 
+# Smallest bound ``n_valid * n_paths * n_steps`` on a batch's path steps for
+# which fk_batch forks worker processes.  Measured with two workers on 2
+# vCPUs: below 2e5 the forked batch was slower in 23 of 25 shapes; from 1e6
+# on it was faster in 48 of 52 (the sweep is recorded in CHANGES.md).
+_FORK_MIN_PATH_STEPS = 1_000_000
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_main(task, group, worker: int, fd: int) -> None:
+    """Body of a forked worker: send ``(True, task(group))``, or ``(False,
+    exc)`` for the exception it raised, pickled over the pipe ``fd``; then
+    leave through ``os._exit``, so no cleanup of the parent's runs here."""
+    code = 1
+    try:
+        try:
+            data = pickle.dumps((True, task(group)), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:  # interrupts too: the parent re-raises it
+            try:
+                data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+                pickle.loads(data)  # the exception must rebuild in the parent
+            except Exception:
+                data = pickle.dumps((False, EvaluationError(
+                    f"fk_batch worker {worker} raised {type(exc).__name__}: {exc}")))
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(worker: int, fd: int):
+    """The result a worker sent over ``fd``, read to end of file; a worker's
+    exception is raised here."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    try:
+        ok, value = pickle.loads(b"".join(chunks))
+    except Exception:
+        raise EvaluationError(f"fk_batch worker {worker} exited without a result") from None
+    if not ok:
+        raise value
+    return value
+
+
+def _in_workers(task, groups) -> list:
+    """``[task(g) for g in groups]``, each group after the first run by a
+    forked child that sends its result back over a pipe.
+
+    Every child is reaped before this returns or raises, and is killed
+    first when the parent's own group fails or the parent is interrupted.
+    """
+    children = []
+    finished = False
+    try:
+        for worker, group in enumerate(groups[1:], start=1):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _worker_main(task, group, worker, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results = [task(groups[0])]
+        for worker, (_, read_fd) in enumerate(children, start=1):
+            results.append(_receive(worker, read_fd))
+        finished = True
+        return results
+    finally:
+        if not finished:
+            import signal  # 0.6 ms to import; only a failed batch needs it
+        for pid, read_fd in children:
+            os.close(read_fd)
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
-             domain: Domain, query_points, cfg: FkConfig) -> list[FkEstimate]:
+             domain: Domain, query_points, cfg: FkConfig,
+             workers: Optional[int] = None) -> list[FkEstimate]:
     """Independent estimates per query point, streams derived from the index.
 
     Entry ``i`` equals ``fk_estimate(..., query_index=i)``; the queries are
     stepped together in blocks of at most ``_BLOCK_ROWS`` path rows.
     Per-point failures are recorded on the estimate (``failure`` message,
-    NaN value) instead of aborting the batch.  Results do not depend on
-    evaluation order or on how the queries are grouped into blocks.
+    NaN value) instead of aborting the batch.
+
+    The valid queries are dealt round-robin to ``min(workers, n_valid)``
+    groups (``workers=None``: the CPUs this process may use).  Each group
+    after the first runs in a forked worker process, and an exception raised
+    there is raised here.  The batch runs in this process alone when there
+    is one group, when ``os.fork`` is missing, when other threads are
+    running (a fork would copy their locks), or when ``n_valid * n_paths *
+    n_steps`` is below ``_FORK_MIN_PATH_STEPS``.  Results do not depend on
+    evaluation order, on how the queries are grouped into blocks, or on the
+    number of workers.
     """
+    if workers is None:
+        workers = _cpu_count()
+    elif not is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
     pts = np.atleast_2d(np.asarray(query_points, dtype=float))
     out = [None] * len(pts)
     valid = []
@@ -336,10 +449,24 @@ def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
             valid.append(i)
         except ValueError as exc:
             out[i] = _failed(cfg, str(exc))
-    per_block = max(1, _BLOCK_ROWS // cfg.n_paths)
-    for b in range(0, len(valid), per_block):
-        ids = valid[b:b + per_block]
-        ests = _fk_block(system, decomp, eigenpair, domain, pts[ids], ids, cfg)
+
+    def run(ids):
+        per_block = max(1, _BLOCK_ROWS // cfg.n_paths)
+        ests = []
+        for b in range(0, len(ids), per_block):
+            block = ids[b:b + per_block]
+            ests += _fk_block(system, decomp, eigenpair, domain, pts[block], block, cfg)
+        return ests
+
+    n_workers = min(workers, len(valid))
+    bound = len(valid) * cfg.n_paths * _n_steps(_horizon(eigenpair.eigenvalue, cfg)[0],
+                                                cfg.dt)
+    if (n_workers > 1 and hasattr(os, "fork") and threading.active_count() == 1
+            and bound >= _FORK_MIN_PATH_STEPS):
+        groups = [valid[k::n_workers] for k in range(n_workers)]
+    else:
+        groups = [valid]
+    for ids, ests in zip(groups, _in_workers(run, groups)):
         for i, est in zip(ids, ests):
             out[i] = est
     return out

@@ -29,6 +29,11 @@ Array = np.ndarray
 _CHUNK_BYTES = 256 << 10
 
 
+def _block_rows(n_cols: int) -> int:
+    """Rows of an (rows, n_cols) float block that fit in ``_CHUNK_BYTES``."""
+    return max(1, _CHUNK_BYTES // max(1, 8 * n_cols))
+
+
 def _sq_dists(A: Array, Bt: Array, out: Array, scratch: Array) -> Array:
     """Squared distances ``||a_i - b_j||^2`` into ``out``, coordinates added
     left to right; ``Bt`` is the second point set transposed, (d, N), and
@@ -53,7 +58,7 @@ def first_close_pair(points: Array, tol: float):
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[0]
-    rows = max(1, _CHUNK_BYTES // max(1, 8 * n))
+    rows = _block_rows(n)
     pts_t = np.ascontiguousarray(pts.T)
     buf, scratch = np.empty(min(rows, n) * n), np.empty(min(rows, n) * n)
     tol2 = tol * tol
@@ -96,7 +101,7 @@ class GaussianKernel:
 
     __call__ = eval
 
-    def eval_matrix(self, X: Array, Y: Array) -> Array:
+    def eval_matrix(self, X: Array, Y: Array, out=None, scratch=None) -> Array:
         """Pairwise kernel matrix for rows of X against rows of Y.
 
         Built in place, in row blocks of at most ``_CHUNK_BYTES``: squared
@@ -104,16 +109,23 @@ class GaussianKernel:
         divided by ``2 l^2`` and exponentiated.  For d <= 7 each entry has
         the bits of ``exp(-((X[:, None] - Y[None]) ** 2).sum(axis=2) / (2 l^2))``,
         whose sum of fewer than 8 terms also runs left to right; from d = 8
-        numpy sums pairwise and the last bits can differ.
+        numpy sums pairwise and the last bits can differ.  The matrix is
+        written into ``out`` when it is given, and the row blocks use
+        ``scratch`` from :meth:`eval_scratch` when it is given, so a caller
+        filling many matrices can allocate both once.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        out = np.empty((X.shape[0], Y.shape[0]))
-        rows = max(1, _CHUNK_BYTES // max(1, 8 * Y.shape[0]))
+        if out is None:
+            out = np.empty((X.shape[0], Y.shape[0]))
+        rows = _block_rows(Y.shape[0])
         Yt = np.ascontiguousarray(Y.T)
-        # _sq_dists touches scratch only from the second coordinate on, so a
-        # 1-D call allocates no scratch block and passes its output instead
-        scratch = np.empty((min(rows, X.shape[0]), Y.shape[0])) if X.shape[1] > 1 else out
+        if scratch is None:
+            # _sq_dists touches scratch only from the second coordinate on,
+            # so 1-D points need no scratch block and pass the output instead
+            scratch = self.eval_scratch(X.shape[0], Y)
+            if scratch is None:
+                scratch = out
         for i in range(0, X.shape[0], rows):
             blk = out[i:i + rows]
             _sq_dists(X[i:i + rows], Yt, blk, scratch[:blk.shape[0]])
@@ -121,6 +133,15 @@ class GaussianKernel:
             np.divide(blk, 2.0 * self.lengthscale**2, out=blk)
             np.exp(blk, out=blk)
         return out
+
+    @staticmethod
+    def eval_scratch(n_rows: int, Y: Array):
+        """The scratch block :meth:`eval_matrix` needs for up to ``n_rows`` rows
+        against the rows of ``Y``; None for 1-D points, which need none."""
+        Y = np.atleast_2d(Y)
+        if Y.shape[1] == 1:
+            return None
+        return np.empty((min(_block_rows(Y.shape[0]), n_rows), Y.shape[0]))
 
     def grad_x(self, x: Array, y: Array) -> Array:
         """Gradient in the first argument."""

@@ -249,6 +249,8 @@ def left_eigenpair(decomp: LinearDecomposition, which: Optional[float] = None) -
     Complex or numerically unreliable selections raise
     :class:`EigenstructureError`.
     """
+    if which is not None and not np.isfinite(which):
+        raise ValueError(f"which must be a finite eigenvalue target, got {which!r}")
     A = decomp.a_matrix
     vals, vecs = np.linalg.eig(A.T)
     if which is None:

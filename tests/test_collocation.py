@@ -183,6 +183,14 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(s.system, s.decomp, s.eigenpair, GaussianKernel(1.0), grid, -1e-4)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_gamma_rejected(self, gamma):
+        # named here, before a NaN system matrix fails inside the SVD
+        s = get_model("ou")
+        grid = make_grid(s.domain, GridSpec("uniform_1d", 5))
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            assemble(s.system, s.decomp, s.eigenpair, GaussianKernel(1.0), grid, gamma)
+
     def test_non_finite_entry_reported(self):
         with np.errstate(over="ignore", invalid="ignore"):
             sys1 = SdeSystem(dim_state=1, dim_noise=1,
@@ -299,6 +307,34 @@ class TestSolutionEvaluation:
         sol, _, _ = solve_system(sys1, dec, pair, GaussianKernel(1.0), grid, 1e-4)
         assert abs(sol.eval_phi(np.array([1.0]))) < 1e-12
         assert sol.eval_phi(np.array([2.0])) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_eval_h_reuses_one_block(self, monkeypatch, dim):
+        # 1100 rows make three chunks; each fills the same kernel block and
+        # scratch, and the values keep the bits of one full kernel matrix
+        rng = np.random.default_rng(dim)
+        grid = CollocationGrid(points=rng.uniform(-1, 1, (30, dim)))
+        sol = CollocationSolution(coefficients=rng.normal(size=30), grid=grid,
+                                  kernel=GaussianKernel(0.7),
+                                  eigenpair=get_model("linear2d" if dim == 2 else "ou").eigenpair)
+        xs = rng.uniform(-1.5, 1.5, (1100, dim))
+        buffers = []
+        eval_matrix = GaussianKernel.eval_matrix
+
+        def record(self, X, Y, out=None, scratch=None):
+            buffers.append((out.base if out.base is not None else out, scratch))
+            return eval_matrix(self, X, Y, out=out, scratch=scratch)
+
+        monkeypatch.setattr(GaussianKernel, "eval_matrix", record)
+        got = sol.eval_h(xs)
+        monkeypatch.undo()
+        assert len(buffers) == 3
+        assert all(b[0] is buffers[0][0] and b[1] is buffers[0][1] for b in buffers)
+        assert (buffers[0][1] is None) == (dim == 1)
+        full = GaussianKernel(0.7).eval_matrix(xs, grid.points)
+        want = np.concatenate([full[i:i + 512] @ sol.coefficients
+                               for i in range(0, 1100, 512)])
+        assert np.array_equal(got, want)
 
     def test_coefficient_validation(self, ou_setup):
         grid = make_grid(ou_setup.domain, ou_setup.grid_spec)

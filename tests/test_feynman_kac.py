@@ -1,3 +1,6 @@
+import json
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -476,3 +479,138 @@ class TestCsv:
         ests = fk_batch(s.system, s.decomp, s.eigenpair, s.domain, pts, cfg)
         header = estimates_to_csv(ests, pts).splitlines()[0]
         assert header.split(",")[1:3] == ["x1", "x2"]
+
+
+@pytest.fixture
+def forced_fork(monkeypatch):
+    """Fork workers for any batch size; yields the pids forked, and checks
+    afterwards that every child was reaped."""
+    monkeypatch.setattr(feynman_kac, "_FORK_MIN_PATH_STEPS", 0)
+    parent, forked = os.getpid(), []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    yield forked
+    assert os.getpid() == parent
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def refusing_drift(limit):
+    """A 1-d drift -x that raises once a state passes ``limit``."""
+    def drift(x):
+        x = np.asarray(x, dtype=float)
+        if np.any(x > limit):
+            raise RuntimeError(f"drift refused a state above {limit}")
+        return -x
+    sys1 = SdeSystem(dim_state=1, dim_noise=1, drift=drift,
+                     diffusion_factor=constant_diffusion(np.array([[0.2]])))
+    return sys1, linearize(sys1, a_matrix=np.array([[-1.0]])), positive_pair(), \
+        Domain(lower=[-1.0], upper=[1.0])
+
+
+class TestForkedWorkers:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("case", ["mixed", "antithetic_odd", "guard", "nonlinear_2d"])
+    def test_pinned_values_for_any_worker_count(self, forced_fork, case, workers):
+        problem, pts, cfg, expected = pinned_cases()[case]
+        ests = fk_batch(*problem, pts, cfg, workers=workers)
+        assert [repr(e) for e in ests] == expected
+        n_valid = sum(e.failure is None or "inside" not in e.failure for e in ests)
+        assert len(forced_fork) == min(workers, n_valid) - 1
+
+    def test_cli_outputs_identical_across_threads(self, forced_fork, tmp_path, capsys):
+        from sdekoopman.cli import main
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"model": {"name": "quadratic", "sigma": 0.3}, "seed": 42,
+             "fk": {"n_paths": 300, "t_max": 3.0}}))
+        (tmp_path / "q.csv").write_text("0.5\n-0.25\n0.9\n-1.1\n0.0\n")
+        outputs = []
+        for threads in ("1", "2", "4"):
+            out = tmp_path / f"t{threads}"
+            assert main(["fk", "--config", str(tmp_path / "cfg.json"), "--queries",
+                         str(tmp_path / "q.csv"), "--fit", "--out", str(out),
+                         "--threads", threads]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(forced_fork) == 1 + 3
+        assert outputs[0].keys() == {"fk_estimates.csv", "fitted_solution.json"}
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert capsys.readouterr().out.count("wrote") == 6
+
+    @pytest.mark.parametrize("order", ["worker", "parent"])
+    def test_exception_is_the_serial_one(self, forced_fork, order):
+        # round-robin over two workers: the parent steps queries 0 and 2, the
+        # child 1 and 3; only the query at 0.9 reaches the refused states
+        problem = refusing_drift(0.85)
+        pts = [[0.0], [0.9], [-0.5], [0.2]] if order == "worker" else \
+            [[0.9], [0.0], [-0.5], [0.2]]
+        cfg = FkConfig(dt=0.01, n_paths=50, t_max=1.0, seed=3)
+        with pytest.raises(RuntimeError) as serial:
+            fk_batch(*problem, pts, cfg, workers=1)
+        with pytest.raises(RuntimeError) as forked:
+            fk_batch(*problem, pts, cfg, workers=2)
+        assert type(forked.value) is type(serial.value)
+        assert str(forked.value) == str(serial.value) == "drift refused a state above 0.85"
+        assert len(forced_fork) == 1
+
+    def test_exception_that_cannot_travel_is_named(self, forced_fork):
+        class Local(Exception):  # a local class does not pickle
+            pass
+
+        def drift(x):
+            if np.any(np.asarray(x) > 0.85):
+                raise Local("local refusal")
+            return -np.asarray(x, dtype=float)
+
+        sys1, dec, pair, dom = refusing_drift(0.85)
+        sys1 = replace(sys1, drift=drift)
+        cfg = FkConfig(dt=0.01, n_paths=50, t_max=1.0, seed=3)
+        with pytest.raises(EvaluationError, match="worker 1 raised Local: local refusal"):
+            fk_batch(sys1, dec, pair, dom, [[0.0], [0.9]], cfg, workers=2)
+
+    def test_worker_that_dies_is_named(self, forced_fork, monkeypatch):
+        parent = os.getpid()
+        block = feynman_kac._fk_block
+
+        def dying_block(*args):
+            streams = args[5]
+            if os.getpid() != parent and 2 in streams:
+                os._exit(3)
+            return block(*args)
+
+        monkeypatch.setattr(feynman_kac, "_fk_block", dying_block)
+        # valid queries 0, 1, 2 and 4 over three workers: worker 2 has query 2
+        problem, pts, cfg, _ = pinned_cases()["mixed"]
+        with pytest.raises(EvaluationError, match="worker 2 exited without a result"):
+            fk_batch(*problem, pts, cfg, workers=3)
+        assert len(forced_fork) == 2
+
+    def test_serial_fallbacks(self, forced_fork, monkeypatch):
+        problem, pts, cfg, expected = pinned_cases()["mixed"]
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:  # a second thread running: a fork would copy its locks
+            assert [repr(e) for e in fk_batch(*problem, pts, cfg, workers=2)] == expected
+        finally:
+            release.set()
+            other.join()
+        # bound 4 queries x 40 paths x 50 steps, one below the threshold
+        monkeypatch.setattr(feynman_kac, "_FORK_MIN_PATH_STEPS", 4 * 40 * 50 + 1)
+        assert [repr(e) for e in fk_batch(*problem, pts, cfg, workers=2)] == expected
+        assert forced_fork == []
+        monkeypatch.setattr(feynman_kac, "_FORK_MIN_PATH_STEPS", 4 * 40 * 50)
+        assert [repr(e) for e in fk_batch(*problem, pts, cfg, workers=2)] == expected
+        assert len(forced_fork) == 1
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
+    def test_workers_validated(self, workers):
+        problem, pts, cfg, _ = pinned_cases()["mixed"]
+        with pytest.raises(ValueError, match="workers"):
+            fk_batch(*problem, pts, cfg, workers=workers)

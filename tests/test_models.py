@@ -127,6 +127,12 @@ class TestLeftEigenpair:
         with pytest.raises(EigenstructureError):
             left_eigenpair(linearize(sys2, a_matrix=A))
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_target_rejected(self, target):
+        # every distance to a NaN target is NaN, and argmin would pick index 0
+        with pytest.raises(ValueError, match="finite"):
+            left_eigenpair(get_model("linear2d").decomp, which=target)
+
     def test_residual_invariant_on_builtins(self):
         for name in ("ou", "quadratic", "linear2d", "langevin"):
             setup = get_model(name)
