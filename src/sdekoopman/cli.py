@@ -103,8 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _outdir(args, cfg=None):
-    out = args.out or (cfg.output_dir if cfg is not None and cfg.output_dir else ".")
-    os.makedirs(out, exist_ok=True)
+    out = args.out or (cfg or {}).get("output_dir") or "."
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        from .errors import ConfigError
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}")
     return out
 
 
@@ -114,30 +118,38 @@ def _write(path, text):
     print(f"wrote {path}")
 
 
-def _write_solution(path, sol, asys=None):
-    from .collocation import save_solution
-    save_solution(path, sol, asys)
-    print(f"wrote {path}")
-
-
 def _load_run(args):
-    """Config, seed, model setup and FK settings of a config-driven command."""
+    """Config, seed, model setup and FK settings of a config-driven command;
+    the config's ``kernel_lengthscale``, ``grid_spec``, ``gamma`` and
+    ``lambda_select`` replace the model preset's values."""
+    from dataclasses import replace
     from .collocation import GridSpec
     from .config import load_config
+    from .models import left_eigenpair
     from .registry import get_model
 
     cfg = load_config(args.config)
-    seed = cfg.effective_seed(args.seed)
-    grid_spec = None if cfg.grid_spec is None else GridSpec(**cfg.grid_spec)
-    setup = get_model(cfg.model_name, **cfg.model_params).with_overrides(
-        lengthscale=cfg.kernel_lengthscale, grid_spec=grid_spec, gamma=cfg.gamma,
-        lambda_select=cfg.lambda_select)
-    return cfg, seed, setup, _fk_config(cfg, seed)
+    changes = {}
+    if "grid_spec" in cfg:
+        changes["grid_spec"] = GridSpec(**cfg["grid_spec"])
+    setup = get_model(**cfg["model"])
+    if "kernel_lengthscale" in cfg:
+        changes["lengthscale"] = float(cfg["kernel_lengthscale"])
+    if "gamma" in cfg:
+        changes["gamma"] = float(cfg["gamma"])
+    if "lambda_select" in cfg:
+        changes["eigenpair"] = left_eigenpair(setup.decomp, which=cfg["lambda_select"])
+    seed, fk = _seed_and_fk(args, cfg)
+    return cfg, seed, replace(setup, **changes), fk
 
 
-def _fk_config(cfg, seed):
+def _seed_and_fk(args, cfg):
+    """The run's seed (``--seed``, else ``seed``, else ``fk.seed``, else 0)
+    and the FK settings it seeds."""
     from .feynman_kac import FkConfig
-    return FkConfig(**{**cfg.fk, "seed": seed})
+    fk = cfg.get("fk", {})
+    seed = next(s for s in (args.seed, cfg.get("seed"), fk.get("seed"), 0) if s is not None)
+    return seed, FkConfig(**{**fk, "seed": seed})
 
 
 def _floats(text, flag):
@@ -148,21 +160,53 @@ def _floats(text, flag):
         raise ConfigError(f"could not parse {flag} '{text}'")
 
 
+def _csv(header, rows):
+    """CSV text with one line per row: a string cell as is, None as an empty
+    cell, any other value as the ``repr`` of its Python value."""
+    import numpy as np
+
+    def cell(v):
+        v = v.item() if isinstance(v, np.generic) else v
+        return v if isinstance(v, str) else "" if v is None else repr(v)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+def _report_csv(reports):
+    """The summary table, one row per report; empty cells for absent metrics."""
+    from dataclasses import astuple
+    from .validation import REPORT_CSV_COLUMNS
+    return _csv(REPORT_CSV_COLUMNS, map(astuple, reports))
+
+
+def _fk_estimates_csv(estimates, query_points):
+    """One row per query point: query_index, its coordinates (x, or x1..xd),
+    value, std_error, n_capped, mean_exit_time, overflow_flag."""
+    import numpy as np
+
+    pts = np.atleast_2d(np.asarray(query_points, dtype=float))
+    coords = ["x"] if pts.shape[1] == 1 else [f"x{i + 1}" for i in range(pts.shape[1])]
+    header = ["query_index", *coords, "value", "std_error", "n_capped",
+              "mean_exit_time", "overflow_flag"]
+    return _csv(header, ([i, *x, e.value, e.std_error, e.n_capped, e.mean_exit_time,
+                          e.discount_overflow] for i, (x, e) in enumerate(zip(pts, estimates))))
+
+
 def _eigenfunction_curve_csv(sol, domain):
     from .models import tensor_points
 
     pts = tensor_points(domain.lower, domain.upper, 200 if domain.dim == 1 else 20)
     if domain.dim == 1:
-        header, cols = "x,phi,h", [pts[:, 0], sol.eval_phi(pts), sol.eval_h(pts)]
+        header, cols = ["x", "phi", "h"], [pts[:, 0], sol.eval_phi(pts), sol.eval_h(pts)]
     else:
-        header, cols = "x1,x2,phi", [pts[:, 0], pts[:, 1], sol.eval_phi(pts)]
-    rows = (",".join(repr(float(v)) for v in row) for row in zip(*cols))
-    return "\n".join([header, *rows]) + "\n"
+        header, cols = ["x1", "x2", "phi"], [pts[:, 0], pts[:, 1], sol.eval_phi(pts)]
+    return _csv(header, zip(*cols))
 
 
 def cmd_solve(args) -> int:
     from .collocation import save_solution
-    from .validation import reports_to_csv, solve_and_report
+    from .config import ALLOWED_METRICS
+    from .validation import solve_and_report
 
     cfg, seed, setup, fk = _load_run(args)
     out = _outdir(args, cfg)
@@ -172,7 +216,7 @@ def cmd_solve(args) -> int:
     partial = path + ".partial"
     try:
         sol, asys, report = solve_and_report(
-            setup, seed, fk=fk, metrics=cfg.wanted_metrics(),
+            setup, seed, fk=fk, metrics=cfg.get("metrics", ALLOWED_METRICS),
             write=lambda sol, asys: save_solution(partial, sol, asys))
     except BaseException:
         if os.path.exists(partial):
@@ -180,7 +224,7 @@ def cmd_solve(args) -> int:
         raise
     os.replace(partial, path)
     print(f"wrote {path}")
-    _write(os.path.join(out, "report.csv"), reports_to_csv([report]))
+    _write(os.path.join(out, "report.csv"), _report_csv([report]))
     _write(os.path.join(out, "eigenfunction_curve.csv"),
            _eigenfunction_curve_csv(sol, setup.domain))
     return EXIT_OK
@@ -196,6 +240,8 @@ def _read_queries(path, dim):
             lines = fh.read().splitlines()
     except FileNotFoundError:
         raise QueryFileError(f"query file not found: {path}", 0)
+    except OSError as exc:
+        raise QueryFileError(f"cannot read query file {path}: {exc.strerror}", 0)
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
@@ -217,9 +263,9 @@ def _read_queries(path, dim):
 
 
 def cmd_fk(args) -> int:
-    from .collocation import CollocationGrid
+    from .collocation import CollocationGrid, save_solution
     from .errors import SdeKoopmanError
-    from .feynman_kac import estimates_to_csv, fk_batch, krr_fit
+    from .feynman_kac import fk_batch, krr_fit
     from .kernels import GaussianKernel
 
     cfg, _, setup, fk = _load_run(args)
@@ -229,7 +275,7 @@ def cmd_fk(args) -> int:
                          setup.domain, queries, fk, workers=args.threads)
     out = _outdir(args, cfg)
     _write(os.path.join(out, "fk_estimates.csv"),
-           estimates_to_csv(estimates, queries))
+           _fk_estimates_csv(estimates, queries))
 
     if args.fit:
         failed = [i for i, e in enumerate(estimates) if e.failure is not None]
@@ -241,24 +287,24 @@ def cmd_fk(args) -> int:
         fitted = krr_fit(kern, CollocationGrid(points=queries), values, args.eta,
                          eigenpair=setup.eigenpair,
                          equilibrium=setup.decomp.equilibrium)
-        _write_solution(os.path.join(out, "fitted_solution.json"), fitted)
+        path = os.path.join(out, "fitted_solution.json")
+        save_solution(path, fitted)
+        print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
-    from .validation import (EXPERIMENTS, check_acceptance, format_table,
-                             reports_to_csv, run_experiment)
+    from .validation import EXPERIMENTS, check_acceptance, format_table, run_experiment
 
+    out = _outdir(args)  # before the runs, which a bad --out would waste
     names = [n for n in EXPERIMENTS if args.which in ("all", n.split("_")[0])]
     reports, all_checks = [], []
     for name in names:
         result = run_experiment(name, seed=args.seed)
-        rows = result if isinstance(result, list) else [result]
-        reports.extend(rows)
+        reports.extend(result if isinstance(result, list) else [result])
         all_checks.extend((name, *c) for c in check_acceptance(name, result))
 
-    out = _outdir(args)
-    _write(os.path.join(out, "summary.csv"), reports_to_csv(reports))
+    _write(os.path.join(out, "summary.csv"), _report_csv(reports))
     print(format_table(reports))
     failed = 0
     for name, label, ok, detail in all_checks:
@@ -282,40 +328,38 @@ def cmd_semigroup_curve(args) -> int:
     sol, _, _ = solve_and_report(setup, seed, fk=fk, metrics=())
     rows = semigroup_curve(setup.system, sol.eval_phi, setup.eigenpair.eigenvalue,
                            setup.semigroup_x0, t_list, fk)
-    lines = ["t,mc_mean,prediction,rel_error"]
-    for r in rows:
-        lines.append(f"{r['t']!r},{r['mc_mean']!r},{r['prediction']!r},{r['rel_error']!r}")
+    columns = ("t", "mc_mean", "prediction", "rel_error")
     out = _outdir(args, cfg)
-    _write(os.path.join(out, "semigroup_curve.csv"), "\n".join(lines) + "\n")
+    _write(os.path.join(out, "semigroup_curve.csv"),
+           _csv(columns, ([r[c] for c in columns] for r in rows)))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    from .config import load_config
+    from .config import CONFIG_SCHEMA, load_config
     from .errors import ConfigError
-    from .validation import conditioning_sweep, format_table, reports_to_csv
+    from .validation import conditioning_sweep, format_table
 
     fk = cfg = None
     seed = args.seed
     if args.config:
         cfg = load_config(args.config)
-        if cfg.model_name != "quadratic":
+        if cfg["model"]["name"] != "quadratic":
             raise ConfigError("sweep runs the quadratic model; set model accordingly")
         # sigma comes from --sigmas, which replaces the model's own sigma
-        unused = [key for key in cfg.to_dict()
-                  if key not in ("model", "fk", "seed", "output_dir")]
+        unused = [key for key in CONFIG_SCHEMA
+                  if key in cfg and key not in ("model", "fk", "seed", "output_dir")]
         if unused:
             raise ConfigError(f"sweep runs the quadratic model's presets; it does "
                               f"not apply {', '.join(unused)}")
-        seed = cfg.effective_seed(args.seed)
-        fk = _fk_config(cfg, seed)
+        seed, fk = _seed_and_fk(args, cfg)
     sigmas = _floats(args.sigmas, "--sigmas")
     if not sigmas:
         raise ConfigError("--sigmas must contain at least one value")
 
     rows = conditioning_sweep(sigmas, fk=fk, seed=seed)
     out = _outdir(args, cfg)
-    _write(os.path.join(out, "sweep.csv"), reports_to_csv(rows))
+    _write(os.path.join(out, "sweep.csv"), _report_csv(rows))
     print(format_table(rows))
     return EXIT_OK
 

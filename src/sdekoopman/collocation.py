@@ -176,18 +176,20 @@ def solve(asys: AssembledSystem, condition: bool = True):
     2-norm value of the regularized system matrix (:func:`condition_number`).
     With ``condition=False`` it is left to the caller and returned as None,
     unless the LU fails or gives non-finite coefficients: then it is computed
-    here, so a singular matrix raises the same error either way.
+    here, so a singular matrix raises the same error either way.  Either
+    failure raises :class:`SingularSystemError` with that estimate.
     """
     M = asys.system_matrix
     try:
         alpha = np.linalg.solve(M, -asys.source)
     except np.linalg.LinAlgError:
         alpha = None
-    cond = None
-    if condition or alpha is None or not np.all(np.isfinite(alpha)):
-        cond = condition_number(M)
-    if alpha is None:
-        raise SingularSystemError("LU factorization failed", condition_estimate=cond)
+    failed = alpha is None or not np.all(np.isfinite(alpha))
+    cond = condition_number(M) if condition or failed else None
+    if failed:
+        raise SingularSystemError("LU factorization failed" if alpha is None
+                                  else "solve gave non-finite coefficients",
+                                  condition_estimate=cond)
     return alpha, cond
 
 

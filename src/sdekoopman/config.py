@@ -6,18 +6,16 @@ Each level of the document has one table of its keys and their kinds:
 and ``_GRID_SCHEMA`` for ``fk`` and ``grid_spec``.  ``_checked`` rejects an
 unknown key or a value of the wrong kind by name when the file is loaded
 (a number is a finite JSON number, never a bool); range rules stay with the
-classes that use the values.  A parsed configuration round-trips losslessly
-through ``to_dict`` / ``from_dict``.
+classes that use the values.  ``load_config`` returns the checked document
+itself, a ``dict`` whose ``model`` is written as ``{"name": ..., <params>}``;
+each command reads the keys it applies from it.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import numbers
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import ConfigError
 
@@ -71,97 +69,55 @@ def _checked(obj, kinds: dict, where: str) -> dict:
     return obj
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    model_name: str
-    model_params: dict = field(default_factory=dict)
-    kernel_lengthscale: Optional[float] = None
-    grid_spec: Optional[dict] = None
-    gamma: Optional[float] = None
-    lambda_select: Optional[float] = None
-    fk: dict = field(default_factory=dict)
-    metrics: Optional[tuple] = None
-    output_dir: Optional[str] = None
-    seed: Optional[int] = None
+def check_config(doc) -> dict:
+    """``doc`` checked, with ``model`` written as ``{"name": ..., <params>}``."""
+    _checked(doc, {key: kind for key, (kind, _) in CONFIG_SCHEMA.items()},
+             "configuration")
+    if "model" not in doc:
+        raise ConfigError("configuration requires a 'model' key")
+    model = doc["model"]
+    if isinstance(model, str):
+        model = {"name": model}
+    name = model.get("name")
+    from .registry import MODEL_NAMES, MODEL_PARAMS
+    if name not in MODEL_NAMES:  # a tuple: any JSON value can be looked up
+        raise ConfigError(f"model name must be one of {', '.join(MODEL_NAMES)}, "
+                          f"got {name!r}")
+    params = _checked({k: v for k, v in model.items() if k != "name"},
+                      dict.fromkeys(MODEL_PARAMS[name], NUMBER), f"model '{name}'")
 
-    @staticmethod
-    def from_dict(doc: dict) -> "RunConfig":
-        _checked(doc, {key: kind for key, (kind, _) in CONFIG_SCHEMA.items()},
-                 "configuration")
-        if "model" not in doc:
-            raise ConfigError("configuration requires a 'model' key")
-        model = doc["model"]
-        if isinstance(model, str):
-            model = {"name": model}
-        name = model.get("name")
-        from .registry import MODEL_NAMES, MODEL_PARAMS
-        if name not in MODEL_NAMES:  # a tuple: any JSON value can be looked up
-            raise ConfigError(f"model name must be one of {', '.join(MODEL_NAMES)}, "
-                              f"got {name!r}")
-        params = _checked({k: v for k, v in model.items() if k != "name"},
-                          dict.fromkeys(MODEL_PARAMS[name], NUMBER), f"model '{name}'")
+    grid = doc.get("grid_spec")
+    if grid is not None:
+        _checked(grid, _GRID_SCHEMA, "grid_spec")
+        if grid.keys() != _GRID_SCHEMA.keys():
+            raise ConfigError("grid_spec requires 'kind' and 'n'")
 
-        grid = doc.get("grid_spec")
-        if grid is not None:
-            _checked(grid, _GRID_SCHEMA, "grid_spec")
-            if grid.keys() != _GRID_SCHEMA.keys():
-                raise ConfigError("grid_spec requires 'kind' and 'n'")
+    fk = _checked(doc.get("fk", {}), _FK_SCHEMA, "fk")
 
-        fk = _checked(doc.get("fk", {}), _FK_SCHEMA, "fk")
+    if doc.get("gamma", 0) < 0:
+        raise ConfigError("gamma must be nonnegative")
 
-        if doc.get("gamma", 0) < 0:
-            raise ConfigError("gamma must be nonnegative")
+    for m in doc.get("metrics", ()):
+        if m not in ALLOWED_METRICS:
+            raise ConfigError(f"unknown metric '{m}'; allowed: "
+                              f"{', '.join(ALLOWED_METRICS)}")
 
-        metrics = doc.get("metrics")
-        if metrics is not None:
-            for m in metrics:
-                if m not in ALLOWED_METRICS:
-                    raise ConfigError(f"unknown metric '{m}'; allowed: "
-                                      f"{', '.join(ALLOWED_METRICS)}")
-            metrics = tuple(metrics)
+    # checked here too, where a --seed override would hide fk.seed
+    for seed in (doc.get("seed"), fk.get("seed")):
+        if seed is not None and not 0 <= seed < 2**64:
+            raise ConfigError("seed must be a 64-bit unsigned integer")
 
-        # checked here too, where a --seed override would hide fk.seed
-        for seed in (doc.get("seed"), fk.get("seed")):
-            if seed is not None and not 0 <= seed < 2**64:
-                raise ConfigError("seed must be a 64-bit unsigned integer")
-
-        return RunConfig(
-            model_name=name, model_params=params,
-            kernel_lengthscale=doc.get("kernel_lengthscale"),
-            grid_spec=None if grid is None else dict(grid),
-            gamma=doc.get("gamma"), lambda_select=doc.get("lambda_select"),
-            fk=dict(fk), metrics=metrics,
-            output_dir=doc.get("output_dir"), seed=doc.get("seed"),
-        )
-
-    def to_dict(self) -> dict:
-        """The keys that were set, in ``CONFIG_SCHEMA`` order (each key but
-        ``model`` is the field of the same name)."""
-        doc = {"model": self.model_name if not self.model_params else {
-            "name": self.model_name, **self.model_params}}
-        for key in list(CONFIG_SCHEMA)[1:]:
-            value = getattr(self, key)
-            if value is not None and value != {}:
-                doc[key] = list(value) if key == "metrics" else copy.copy(value)
-        return doc
-
-    def effective_seed(self, override: Optional[int] = None) -> int:
-        if override is not None:
-            return override
-        if self.seed is not None:
-            return self.seed
-        return self.fk.get("seed", 0)
-
-    def wanted_metrics(self) -> tuple:
-        return ALLOWED_METRICS if self.metrics is None else self.metrics
+    return {**doc, "model": {"name": name, **params}}
 
 
-def load_config(path) -> RunConfig:
+def load_config(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}")
-    return RunConfig.from_dict(doc)
+    return check_config(doc)

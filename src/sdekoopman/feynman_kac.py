@@ -8,7 +8,9 @@ with tau the first exit time from the domain box.  Paths are simulated with
 Euler-Maruyama steps; the running source integral uses the left-endpoint rule
 (accumulate at the current state, then step), accepting the O(dt) bias.  Exit
 is detected at discrete steps and the exit position is the componentwise
-clamp of the first out-of-box state onto the box.
+clamp of the first out-of-box state onto the box; a path that leaves and
+returns between two steps is missed, which biases estimates by O(sqrt(dt)),
+the larger of the two terms.
 
 Randomness is counter-based: the normals for simulation step ``s`` of query
 stream ``q`` come from a Philox generator keyed by ``(seed, q)`` with counter
@@ -30,7 +32,6 @@ unreliable (``all_capped``).
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import threading
@@ -70,6 +71,8 @@ class FkConfig:
             raise ValueError("dt must be positive")
         if not self.t_max >= self.dt:
             raise ValueError("t_max must be >= dt")
+        if not np.isfinite(self.t_max / self.dt):
+            raise ValueError("t_max / dt must be a finite step count")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -564,24 +567,3 @@ def simulate_terminal(system: SdeSystem, x0: Array, t: float, cfg: FkConfig,
         if (s + 1) in want:
             snaps[want[s + 1]] = X.copy()
     return snaps if snapshot_times is not None else X
-
-
-def estimates_to_csv(estimates, query_points) -> str:
-    """Render batch estimates as CSV with one row per query point.
-
-    Columns: query_index, the point coordinates (x1..xd), value, std_error,
-    n_capped, mean_exit_time, overflow_flag.  Floats use their shortest
-    round-trip representation.
-    """
-    pts = np.atleast_2d(np.asarray(query_points, dtype=float))
-    d = pts.shape[1]
-    buf = io.StringIO()
-    coords = ["x"] if d == 1 else [f"x{i + 1}" for i in range(d)]
-    buf.write(",".join(["query_index", *coords, "value", "std_error", "n_capped",
-                        "mean_exit_time", "overflow_flag"]) + "\n")
-    for i, (x, est) in enumerate(zip(pts, estimates)):
-        row = [str(i), *(repr(float(c)) for c in x), repr(est.value),
-               repr(est.std_error), str(est.n_capped), repr(est.mean_exit_time),
-               str(est.discount_overflow)]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()

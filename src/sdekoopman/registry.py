@@ -22,7 +22,7 @@ used by the corresponding benchmark experiment.  Registered names:
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,19 +60,6 @@ class ModelSetup:
     gamma: float
     exact_phi: Optional[Callable] = None
     semigroup_x0: Optional[Array] = None
-
-    def with_overrides(self, lengthscale=None, grid_spec=None, gamma=None,
-                       lambda_select=None) -> "ModelSetup":
-        out = self
-        if lengthscale is not None:
-            out = replace(out, lengthscale=float(lengthscale))
-        if grid_spec is not None:
-            out = replace(out, grid_spec=grid_spec)
-        if gamma is not None:
-            out = replace(out, gamma=float(gamma))
-        if lambda_select is not None:
-            out = replace(out, eigenpair=left_eigenpair(out.decomp, which=lambda_select))
-        return out
 
 
 def make_ou(theta: float = 1.0, sigma: float = 0.5) -> ModelSetup:

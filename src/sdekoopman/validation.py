@@ -11,8 +11,7 @@ the pass bands used by the ``reproduce`` command.
 
 from __future__ import annotations
 
-import io
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -331,16 +330,6 @@ def check_acceptance(name: str, result) -> list[tuple[str, bool, str]]:
 
 REPORT_CSV_COLUMNS = ("label", "cond", "pde_res_mean", "semigroup_error_pct",
                       "rmse", "max_abs_h")
-
-
-def reports_to_csv(reports) -> str:
-    """Summary-table CSV, one row per report; empty cells for absent metrics."""
-    buf = io.StringIO()
-    buf.write(",".join(REPORT_CSV_COLUMNS) + "\n")
-    for r in reports:
-        label, *values = astuple(r)
-        buf.write(",".join([label, *("" if v is None else repr(v) for v in values)]) + "\n")
-    return buf.getvalue()
 
 
 def format_table(reports) -> str:

@@ -246,6 +246,26 @@ class TestFkCommand:
         assert read(os.path.join(out1, "fk_estimates.csv")) == \
             read(os.path.join(out2, "fk_estimates.csv"))
 
+    def test_seed_precedence(self, tmp_path):
+        # --seed, then seed, then fk.seed, then 0
+        queries = tmp_path / "q.csv"
+        queries.write_text("0.5\n")
+        fk = {"n_paths": 50, "t_max": 2.0}
+
+        def estimates(name, doc, *flags):
+            cfg = write_config(tmp_path, {"model": "quadratic", "fk": fk, **doc},
+                               f"{name}.json")
+            out = tmp_path / name
+            assert main(["fk", "--config", cfg, "--queries", str(queries),
+                         "--out", str(out), *flags]) == 0
+            return read(out / "fk_estimates.csv")
+
+        seed5 = estimates("fk_seed", {"fk": {**fk, "seed": 5}})
+        assert estimates("seed", {"seed": 5}) == seed5
+        assert estimates("both", {"seed": 5, "fk": {**fk, "seed": 9}}) == seed5
+        assert estimates("flag", {"seed": 7}, "--seed", "5") == seed5
+        assert estimates("none", {}) == estimates("flag0", {}, "--seed", "0") != seed5
+
 
 class TestReproduceCommand:
     def test_test1_passes_bands(self, tmp_path, capsys):
@@ -418,6 +438,37 @@ class TestExitCodes:
             assert main(["solve", "--config", cfg, "--out", str(tmp_path), *seed]) == 2
             assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", ["config_is_a_directory", "queries_is_a_directory",
+                                      "solve_out_is_a_file", "reproduce_out_is_a_file"])
+    def test_os_error_on_a_path_exits_2(self, tmp_path, capsys, case):
+        cfg = write_config(tmp_path, OU_DOC)
+        queries = tmp_path / "q.csv"
+        queries.write_text("0.5\n")
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = str(tmp_path / "out")
+        argv, path = {
+            "config_is_a_directory": (["solve", "--config", str(tmp_path), "--out", out],
+                                      tmp_path),
+            "queries_is_a_directory": (["fk", "--config", cfg, "--queries", str(tmp_path),
+                                        "--out", out], tmp_path),
+            "solve_out_is_a_file": (["solve", "--config", cfg, "--out", str(taken)], taken),
+            "reproduce_out_is_a_file": (["reproduce", "test1", "--out", str(taken)], taken),
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
+    def test_overflowing_fk_step_count_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": "quadratic",
+                                      "fk": {"n_paths": 10, "dt": 1e-320}})
+        queries = tmp_path / "q.csv"
+        queries.write_text("0.5\n")
+        assert main(["fk", "--config", cfg, "--queries", str(queries),
+                     "--out", str(tmp_path)]) == 2
+        assert "finite step count" in capsys.readouterr().err
+
     def test_duplicate_fit_queries_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, OU_DOC)
         queries = tmp_path / "q.csv"
@@ -461,24 +512,23 @@ class TestHelp:
 
 
 class TestConfigRoundTrip:
-    def test_lossless(self):
-        from sdekoopman.config import RunConfig
+    def test_checked_document_is_the_config(self, tmp_path):
+        from sdekoopman.config import load_config
         doc = {"model": {"name": "quadratic", "sigma": 0.4},
                "kernel_lengthscale": 0.9,
                "grid_spec": {"kind": "uniform_1d", "n": 30},
                "gamma": 1e-4, "lambda_select": -1.0,
                "fk": {"n_paths": 100, "dt": 0.02},
                "metrics": ["condition_number"], "output_dir": "out", "seed": 9}
-        cfg = RunConfig.from_dict(doc)
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
-        assert cfg.to_dict() == doc
+        assert load_config(write_config(tmp_path, doc)) == doc
+        assert load_config(write_config(tmp_path, {"model": "ou"})) == {"model": {"name": "ou"}}
 
     def test_nested_unknown_keys(self):
-        from sdekoopman.config import RunConfig
+        from sdekoopman.config import check_config
         from sdekoopman.errors import ConfigError
         with pytest.raises(ConfigError, match="burnin"):
-            RunConfig.from_dict({"model": "ou", "fk": {"burnin": 5}})
+            check_config({"model": "ou", "fk": {"burnin": 5}})
         with pytest.raises(ConfigError, match="shape"):
-            RunConfig.from_dict({"model": "ou", "grid_spec": {"shape": "x", "n": 3}})
+            check_config({"model": "ou", "grid_spec": {"shape": "x", "n": 3}})
         with pytest.raises(ConfigError, match="mass"):
-            RunConfig.from_dict({"model": {"name": "langevin", "mass": 2.0}})
+            check_config({"model": {"name": "langevin", "mass": 2.0}})

@@ -237,6 +237,18 @@ class TestSolve:
         with pytest.raises(SingularSystemError, match="numerically singular"):
             solve(asys, condition=condition)
 
+    @pytest.mark.parametrize("condition", [True, False])
+    def test_non_finite_coefficients_raise_with_estimate(self, condition):
+        # the smallest singular value passes the SVD check, yet the LU
+        # overflows the coefficients to inf and nan
+        M = np.diag([1.0, 1.0, 1e-300])
+        asys = AssembledSystem(gram=np.eye(3), drift_mat=np.zeros((3, 3)),
+                               diff_mat=np.zeros((3, 3)), source=np.array([0.0, 0.0, 1e10]),
+                               system_matrix=M, regularization=0.0)
+        with pytest.raises(SingularSystemError, match="non-finite") as info:
+            solve(asys, condition=condition)
+        assert info.value.condition_estimate == pytest.approx(1e300)
+
     def test_deferred_condition_number_is_none(self):
         _, asys, _, _ = ou_assembled()
         alpha, cond = solve(asys, condition=False)

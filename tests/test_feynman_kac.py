@@ -10,8 +10,9 @@ import sdekoopman.feynman_kac as feynman_kac
 from sdekoopman import (CollocationGrid, Domain, EigenPair, FkConfig,
                         GaussianKernel, em_step, fk_batch, fk_estimate, get_model,
                         krr_fit, mc_convergence_probe, simulate_terminal)
+from sdekoopman.cli import _fk_estimates_csv
 from sdekoopman.errors import EvaluationError
-from sdekoopman.feynman_kac import _NormalStream, counter_normals, estimates_to_csv
+from sdekoopman.feynman_kac import _NormalStream, counter_normals
 from sdekoopman.models import SdeSystem, linearize
 from sdekoopman.registry import constant_diffusion
 
@@ -114,6 +115,8 @@ class TestFkConfig:
             FkConfig(seed=-1)
         with pytest.raises(ValueError, match="t_max must be >= dt"):
             FkConfig(t_max=float("nan"))
+        with pytest.raises(ValueError, match="finite step count"):
+            FkConfig(dt=1e-320)  # t_max / dt overflows to inf
         with pytest.raises(ValueError, match="n_paths must be an integer"):
             FkConfig(n_paths=True)
         with pytest.raises(ValueError, match="antithetic must be a bool, got 'no'"):
@@ -466,10 +469,10 @@ class TestCsv:
         cfg = FkConfig(n_paths=30, t_max=1.0, seed=4)
         pts = [[0.1], [0.7]]
         ests = fk_batch(s.system, s.decomp, s.eigenpair, s.domain, pts, cfg)
-        text = estimates_to_csv(ests, pts)
+        text = _fk_estimates_csv(ests, pts)
         assert text.splitlines()[0] == \
             "query_index,x,value,std_error,n_capped,mean_exit_time,overflow_flag"
-        assert text == estimates_to_csv(ests, pts)
+        assert text == _fk_estimates_csv(ests, pts)
         assert text.splitlines()[1].startswith("0,0.1,0.0,0.0,30,")
 
     def test_multidim_coordinates(self, linear2d_setup):
@@ -477,7 +480,7 @@ class TestCsv:
         cfg = FkConfig(n_paths=10, t_max=0.5, seed=4)
         pts = [[0.1, -0.2]]
         ests = fk_batch(s.system, s.decomp, s.eigenpair, s.domain, pts, cfg)
-        header = estimates_to_csv(ests, pts).splitlines()[0]
+        header = _fk_estimates_csv(ests, pts).splitlines()[0]
         assert header.split(",")[1:3] == ["x1", "x2"]
 
 

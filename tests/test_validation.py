@@ -8,10 +8,11 @@ from sdekoopman import (Domain, EigenPair, FkConfig, GaussianKernel,
                         conditioning_sweep, make_grid, rmse_vs_exact,
                         run_experiment, semigroup_check, semigroup_curve,
                         solve_system)
+from sdekoopman.cli import _report_csv
 from sdekoopman.models import SdeSystem, linearize
 from sdekoopman.registry import constant_diffusion, get_model
 from sdekoopman.validation import (ExperimentReport, boundary_points,
-                                   format_table, reports_to_csv, solve_and_report)
+                                   format_table, solve_and_report)
 
 SMALL_FK = FkConfig(n_paths=2000, seed=5)
 
@@ -219,7 +220,7 @@ class TestReportOutput:
                              semigroup_error=4.2, rmse_vs_exact=1e-14, max_abs_h=0.1))
 
     def test_csv_header_and_blanks(self):
-        lines = reports_to_csv(self.ROWS).splitlines()
+        lines = _report_csv(self.ROWS).splitlines()
         assert lines[0] == "label,cond,pde_res_mean,semigroup_error_pct,rmse,max_abs_h"
         assert lines[1] == "demo,100000.0,0.001,,,0.1"
         assert lines[2] == "nocond,,0.001,4.2,1e-14,0.1"
