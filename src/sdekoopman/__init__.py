@@ -46,8 +46,8 @@ __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):
-    # Lazy imports keep `import sdekoopman.cli` light so the CLI can pin
-    # BLAS thread pools before numpy loads.
+    # Lazy imports keep the package from loading numpy, so `sdekoopman.cli`
+    # can pin BLAS thread pools before numpy loads.
     if name in _EXPORTS:
         import importlib
 

@@ -13,24 +13,39 @@ Subcommands::
 
 Exit codes: 0 ok, 1 benchmark band failed (reproduce), 2 config/input error
 (``ConfigError`` or any other ``ValueError``), 3 numerical failure (any other
-``SdeKoopmanError`` or ``LinAlgError``); ``main`` maps exception types to
-codes in one place.  Identical invocations (same seed) produce byte-identical
-output files.  ``--threads`` is the number of worker processes ``fk`` forks
-for its path simulation (default: the CPUs this process may use; small
-batches run serially) and never changes results; BLAS pools are pinned to
-one thread for bitwise stability.
+``SdeKoopmanError`` or ``LinAlgError``); a file or directory that cannot be
+read or written also exits 2.  ``main`` maps exception types to codes in one
+place.  Identical invocations (same seed) produce byte-identical output
+files.  ``--threads`` is the number of worker processes ``fk`` forks for its
+path simulation (default: the CPUs this process may use; small batches run
+serially) and never changes results.
+
+BLAS pools are pinned to one thread for bitwise stability, once, at the top
+of this module: the package ``__init__`` loads its modules lazily, so this
+module loads before numpy whether it runs as ``python -m sdekoopman.cli`` or
+as the ``sdekoopman`` console script.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import sys
 
-# Heavy imports happen inside main() after the thread pools are pinned, so
-# the determinism guarantee holds no matter how BLAS was built.
-_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+# BLAS sizes its thread pool when numpy loads, so this precedes every import
+# that loads numpy; the determinism guarantee then holds however BLAS was built.
+os.environ.update(dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+                                 "VECLIB_MAXIMUM_THREADS"), "1"))
+
+import argparse  # noqa: E402
+import sys  # noqa: E402
+from dataclasses import astuple, replace  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+# module objects, called through their attributes, so a patched attribute
+# (a test's stand-in, a benchmark's timing wrapper) is the one the CLI calls
+from . import (collocation, config, errors, feynman_kac, kernels, models,  # noqa: E402
+               registry, validation)
 
 EXIT_OK = 0
 EXIT_BAND_FAILURE = 1
@@ -39,16 +54,13 @@ EXIT_NUMERICAL = 3
 
 
 def _schema_epilog():
-    from .config import CONFIG_SCHEMA
     lines = ["config file keys:"]
-    for key, (_, desc) in CONFIG_SCHEMA.items():
+    for key, (_, desc) in config.CONFIG_SCHEMA.items():
         lines.append(f"  {key:<20} {desc}")
     return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .validation import EXPERIMENTS  # heavy: main() pins BLAS first
-
     parser = argparse.ArgumentParser(
         prog="sdekoopman",
         description="Koopman eigenfunctions of Ito SDEs by kernel collocation "
@@ -87,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("reproduce", cmd_reproduce, "rerun the benchmark experiments",
                 config=None)
-    p.add_argument("which", choices=["all", *(n.split("_")[0] for n in EXPERIMENTS)])
+    p.add_argument("which",
+                   choices=["all", *(n.split("_")[0] for n in validation.EXPERIMENTS)])
 
     p = command("semigroup-curve", cmd_semigroup_curve,
                 "semigroup verification over a time grid")
@@ -104,11 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _outdir(args, cfg=None):
     out = args.out or (cfg or {}).get("output_dir") or "."
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        from .errors import ConfigError
-        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}")
+    os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -122,23 +131,17 @@ def _load_run(args):
     """Config, seed, model setup and FK settings of a config-driven command;
     the config's ``kernel_lengthscale``, ``grid_spec``, ``gamma`` and
     ``lambda_select`` replace the model preset's values."""
-    from dataclasses import replace
-    from .collocation import GridSpec
-    from .config import load_config
-    from .models import left_eigenpair
-    from .registry import get_model
-
-    cfg = load_config(args.config)
+    cfg = config.load_config(args.config)
     changes = {}
     if "grid_spec" in cfg:
-        changes["grid_spec"] = GridSpec(**cfg["grid_spec"])
-    setup = get_model(**cfg["model"])
+        changes["grid_spec"] = collocation.GridSpec(**cfg["grid_spec"])
+    setup = registry.get_model(**cfg["model"])
     if "kernel_lengthscale" in cfg:
         changes["lengthscale"] = float(cfg["kernel_lengthscale"])
     if "gamma" in cfg:
         changes["gamma"] = float(cfg["gamma"])
     if "lambda_select" in cfg:
-        changes["eigenpair"] = left_eigenpair(setup.decomp, which=cfg["lambda_select"])
+        changes["eigenpair"] = models.left_eigenpair(setup.decomp, which=cfg["lambda_select"])
     seed, fk = _seed_and_fk(args, cfg)
     return cfg, seed, replace(setup, **changes), fk
 
@@ -146,25 +149,21 @@ def _load_run(args):
 def _seed_and_fk(args, cfg):
     """The run's seed (``--seed``, else ``seed``, else ``fk.seed``, else 0)
     and the FK settings it seeds."""
-    from .feynman_kac import FkConfig
     fk = cfg.get("fk", {})
     seed = next(s for s in (args.seed, cfg.get("seed"), fk.get("seed"), 0) if s is not None)
-    return seed, FkConfig(**{**fk, "seed": seed})
+    return seed, feynman_kac.FkConfig(**{**fk, "seed": seed})
 
 
 def _floats(text, flag):
-    from .errors import ConfigError
     try:
         return [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"could not parse {flag} '{text}'")
+        raise errors.ConfigError(f"could not parse {flag} '{text}'")
 
 
 def _csv(header, rows):
     """CSV text with one line per row: a string cell as is, None as an empty
     cell, any other value as the ``repr`` of its Python value."""
-    import numpy as np
-
     def cell(v):
         v = v.item() if isinstance(v, np.generic) else v
         return v if isinstance(v, str) else "" if v is None else repr(v)
@@ -174,16 +173,12 @@ def _csv(header, rows):
 
 def _report_csv(reports):
     """The summary table, one row per report; empty cells for absent metrics."""
-    from dataclasses import astuple
-    from .validation import REPORT_CSV_COLUMNS
-    return _csv(REPORT_CSV_COLUMNS, map(astuple, reports))
+    return _csv(validation.REPORT_CSV_COLUMNS, map(astuple, reports))
 
 
 def _fk_estimates_csv(estimates, query_points):
     """One row per query point: query_index, its coordinates (x, or x1..xd),
     value, std_error, n_capped, mean_exit_time, overflow_flag."""
-    import numpy as np
-
     pts = np.atleast_2d(np.asarray(query_points, dtype=float))
     coords = ["x"] if pts.shape[1] == 1 else [f"x{i + 1}" for i in range(pts.shape[1])]
     header = ["query_index", *coords, "value", "std_error", "n_capped",
@@ -193,9 +188,7 @@ def _fk_estimates_csv(estimates, query_points):
 
 
 def _eigenfunction_curve_csv(sol, domain):
-    from .models import tensor_points
-
-    pts = tensor_points(domain.lower, domain.upper, 200 if domain.dim == 1 else 20)
+    pts = models.tensor_points(domain.lower, domain.upper, 200 if domain.dim == 1 else 20)
     if domain.dim == 1:
         header, cols = ["x", "phi", "h"], [pts[:, 0], sol.eval_phi(pts), sol.eval_h(pts)]
     else:
@@ -204,10 +197,6 @@ def _eigenfunction_curve_csv(sol, domain):
 
 
 def cmd_solve(args) -> int:
-    from .collocation import save_solution
-    from .config import ALLOWED_METRICS
-    from .validation import solve_and_report
-
     cfg, seed, setup, fk = _load_run(args)
     out = _outdir(args, cfg)
     path = os.path.join(out, "solution.json")
@@ -215,14 +204,14 @@ def cmd_solve(args) -> int:
     # once they succeed, so a failing run leaves no solution.json
     partial = path + ".partial"
     try:
-        sol, asys, report = solve_and_report(
-            setup, seed, fk=fk, metrics=cfg.get("metrics", ALLOWED_METRICS),
-            write=lambda sol, asys: save_solution(partial, sol, asys))
+        sol, asys, report = validation.solve_and_report(
+            setup, seed, fk=fk, metrics=cfg.get("metrics", config.ALLOWED_METRICS),
+            write=lambda sol, asys: collocation.save_solution(partial, sol, asys))
+        os.replace(partial, path)
     except BaseException:
         if os.path.exists(partial):
             os.remove(partial)
         raise
-    os.replace(partial, path)
     print(f"wrote {path}")
     _write(os.path.join(out, "report.csv"), _report_csv([report]))
     _write(os.path.join(out, "eigenfunction_curve.csv"),
@@ -231,17 +220,9 @@ def cmd_solve(args) -> int:
 
 
 def _read_queries(path, dim):
-    import numpy as np
-    from .errors import QueryFileError
-
     rows = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except FileNotFoundError:
-        raise QueryFileError(f"query file not found: {path}", 0)
-    except OSError as exc:
-        raise QueryFileError(f"cannot read query file {path}: {exc.strerror}", 0)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped:
@@ -251,28 +232,23 @@ def _read_queries(path, dim):
         except ValueError:
             if lineno == 1:
                 continue  # optional header row
-            raise QueryFileError(f"could not parse '{stripped}'", lineno)
+            raise errors.QueryFileError(f"could not parse '{stripped}'", lineno)
         if len(vals) != dim:
-            raise QueryFileError(f"expected {dim} coordinates, got {len(vals)}", lineno)
+            raise errors.QueryFileError(f"expected {dim} coordinates, got {len(vals)}", lineno)
         if not np.all(np.isfinite(vals)):
-            raise QueryFileError(f"non-finite coordinate in '{stripped}'", lineno)
+            raise errors.QueryFileError(f"non-finite coordinate in '{stripped}'", lineno)
         rows.append(vals)
     if not rows:
-        raise QueryFileError("query file contains no points", 0)
+        raise errors.QueryFileError("query file contains no points", 0)
     return np.asarray(rows, dtype=float)
 
 
 def cmd_fk(args) -> int:
-    from .collocation import CollocationGrid, save_solution
-    from .errors import SdeKoopmanError
-    from .feynman_kac import fk_batch, krr_fit
-    from .kernels import GaussianKernel
-
     cfg, _, setup, fk = _load_run(args)
     queries = _read_queries(args.queries, setup.system.dim_state)
 
-    estimates = fk_batch(setup.system, setup.decomp, setup.eigenpair,
-                         setup.domain, queries, fk, workers=args.threads)
+    estimates = feynman_kac.fk_batch(setup.system, setup.decomp, setup.eigenpair,
+                                     setup.domain, queries, fk, workers=args.threads)
     out = _outdir(args, cfg)
     _write(os.path.join(out, "fk_estimates.csv"),
            _fk_estimates_csv(estimates, queries))
@@ -280,32 +256,30 @@ def cmd_fk(args) -> int:
     if args.fit:
         failed = [i for i, e in enumerate(estimates) if e.failure is not None]
         if failed:
-            raise SdeKoopmanError(
+            raise errors.SdeKoopmanError(
                 f"cannot fit: estimates failed at query indices {failed}")
-        kern = GaussianKernel(setup.lengthscale)
+        kern = kernels.GaussianKernel(setup.lengthscale)
         values = [e.value for e in estimates]
-        fitted = krr_fit(kern, CollocationGrid(points=queries), values, args.eta,
-                         eigenpair=setup.eigenpair,
-                         equilibrium=setup.decomp.equilibrium)
+        fitted = feynman_kac.krr_fit(kern, collocation.CollocationGrid(points=queries),
+                                     values, args.eta, eigenpair=setup.eigenpair,
+                                     equilibrium=setup.decomp.equilibrium)
         path = os.path.join(out, "fitted_solution.json")
-        save_solution(path, fitted)
+        collocation.save_solution(path, fitted)
         print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
-    from .validation import EXPERIMENTS, check_acceptance, format_table, run_experiment
-
     out = _outdir(args)  # before the runs, which a bad --out would waste
-    names = [n for n in EXPERIMENTS if args.which in ("all", n.split("_")[0])]
+    names = [n for n in validation.EXPERIMENTS if args.which in ("all", n.split("_")[0])]
     reports, all_checks = [], []
     for name in names:
-        result = run_experiment(name, seed=args.seed)
+        result = validation.run_experiment(name, seed=args.seed)
         reports.extend(result if isinstance(result, list) else [result])
-        all_checks.extend((name, *c) for c in check_acceptance(name, result))
+        all_checks.extend((name, *c) for c in validation.check_acceptance(name, result))
 
     _write(os.path.join(out, "summary.csv"), _report_csv(reports))
-    print(format_table(reports))
+    print(validation.format_table(reports))
     failed = 0
     for name, label, ok, detail in all_checks:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {label} ({detail})")
@@ -318,16 +292,14 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_semigroup_curve(args) -> int:
-    from .feynman_kac import horizon_steps
-    from .validation import semigroup_curve, solve_and_report
-
     cfg, seed, setup, fk = _load_run(args)
     t_list = _floats(args.t_list, "--t-list")
-    horizon_steps(t_list, fk.dt)  # before the solve, which a bad list would waste
+    feynman_kac.horizon_steps(t_list, fk.dt)  # before the solve, which a bad list would waste
 
-    sol, _, _ = solve_and_report(setup, seed, fk=fk, metrics=())
-    rows = semigroup_curve(setup.system, sol.eval_phi, setup.eigenpair.eigenvalue,
-                           setup.semigroup_x0, t_list, fk)
+    sol, _, _ = validation.solve_and_report(setup, seed, fk=fk, metrics=())
+    rows = validation.semigroup_curve(setup.system, sol.eval_phi,
+                                      setup.eigenpair.eigenvalue, setup.semigroup_x0,
+                                      t_list, fk)
     columns = ("t", "mc_mean", "prediction", "rel_error")
     out = _outdir(args, cfg)
     _write(os.path.join(out, "semigroup_curve.csv"),
@@ -336,50 +308,37 @@ def cmd_semigroup_curve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .config import CONFIG_SCHEMA, load_config
-    from .errors import ConfigError
-    from .validation import conditioning_sweep, format_table
-
     fk = cfg = None
     seed = args.seed
     if args.config:
-        cfg = load_config(args.config)
+        cfg = config.load_config(args.config)
         if cfg["model"]["name"] != "quadratic":
-            raise ConfigError("sweep runs the quadratic model; set model accordingly")
+            raise errors.ConfigError("sweep runs the quadratic model; set model accordingly")
         # sigma comes from --sigmas, which replaces the model's own sigma
-        unused = [key for key in CONFIG_SCHEMA
+        unused = [key for key in config.CONFIG_SCHEMA
                   if key in cfg and key not in ("model", "fk", "seed", "output_dir")]
         if unused:
-            raise ConfigError(f"sweep runs the quadratic model's presets; it does "
-                              f"not apply {', '.join(unused)}")
+            raise errors.ConfigError(f"sweep runs the quadratic model's presets; it "
+                                     f"does not apply {', '.join(unused)}")
         seed, fk = _seed_and_fk(args, cfg)
     sigmas = _floats(args.sigmas, "--sigmas")
     if not sigmas:
-        raise ConfigError("--sigmas must contain at least one value")
+        raise errors.ConfigError("--sigmas must contain at least one value")
 
-    rows = conditioning_sweep(sigmas, fk=fk, seed=seed)
+    rows = validation.conditioning_sweep(sigmas, fk=fk, seed=seed)
     out = _outdir(args, cfg)
     _write(os.path.join(out, "sweep.csv"), _report_csv(rows))
-    print(format_table(rows))
+    print(validation.format_table(rows))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    for var in _THREAD_ENV:
-        os.environ[var] = "1"
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.seed is not None and not 0 <= args.seed < 2**64:
-        print("error: --seed must be a 64-bit unsigned integer", file=sys.stderr)
-        return EXIT_CONFIG
-
-    from . import errors
-    import numpy as np
-
+    args = build_parser().parse_args(argv)
     try:
+        if args.threads is not None and args.threads < 1:
+            raise errors.ConfigError("--threads must be >= 1")
+        if args.seed is not None and not 0 <= args.seed < 2**64:
+            raise errors.ConfigError("--seed must be a 64-bit unsigned integer")
         return args.handler(args)
     except errors.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -390,6 +349,12 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:  # a library input check
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        if exc.filename is None:  # not about a path (fork, broken pipe)
+            raise
+        paths = " -> ".join(str(p) for p in (exc.filename, exc.filename2) if p is not None)
+        print(f"error: {paths}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -140,7 +140,7 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
 
     D = _half_trace_term(K, diff, system.sigma_at(X), l2)
 
-    f = decomp.nonlinear_at(X) @ eigenpair.left_eigenvector
+    f = decomp.nonlinear_from_drift(X, G) @ eigenpair.left_eigenvector
     M = L + D - eigenpair.eigenvalue * K + gamma * np.eye(N)
 
     for name, mat in (("gram", K), ("drift", L), ("diffusion", D)):

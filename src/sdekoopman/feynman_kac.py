@@ -209,13 +209,11 @@ def _advance(system: SdeSystem, decomp: LinearDecomposition, w: Array, X: Array,
              Z: Array, dt: float):
     """Source ``w^T F`` at states X and their Euler-Maruyama update.
 
-    The drift is evaluated once; ``F = G - A (x - x*)`` is the drift split
-    exactly as :func:`linearize` computes it.
+    The drift is evaluated once and split by the decomposition.
     """
     G = system.drift_at(X)
-    F = G - (X - decomp.equilibrium) @ decomp.a_matrix.T
-    return F @ w, _em_update(X, G, system.sigma_at(X), Z, dt, np.empty_like(X),
-                             np.empty_like(X))
+    return decomp.nonlinear_from_drift(X, G) @ w, _em_update(
+        X, G, system.sigma_at(X), Z, dt, np.empty_like(X), np.empty_like(X))
 
 
 def _fk_block(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,

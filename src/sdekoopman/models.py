@@ -124,6 +124,10 @@ class LinearDecomposition:
         """Nonlinear remainder F on a batch of states, shape ``(n, d)``."""
         return np.asarray(self.nonlinear_part(np.atleast_2d(np.asarray(X, dtype=float))))
 
+    def nonlinear_from_drift(self, X: Array, G: Array) -> Array:
+        """``F = G - A (x - x*)`` at states X from the drift values G there."""
+        return G - (X - self.equilibrium) @ self.a_matrix.T
+
 
 @dataclass(frozen=True)
 class EigenPair:
@@ -231,13 +235,13 @@ def linearize(system: SdeSystem, fd_step: float = 1e-5,
                 )
             A[:, j] = (gp - gm) / (2.0 * fd_step)
 
-    def nonlinear_part(X, _A=A, _x0=x0, _sys=system):
+    def nonlinear_part(X):
         X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            return np.asarray(_sys.drift(X), dtype=float) - _A @ (X - _x0)
-        return _sys.drift_at(X) - (X - _x0) @ _A.T
+        G = system.drift(X) if X.ndim == 1 else system.drift_at(X)
+        return decomp.nonlinear_from_drift(X, np.asarray(G, dtype=float))
 
-    return LinearDecomposition(a_matrix=A, nonlinear_part=nonlinear_part, equilibrium=x0)
+    decomp = LinearDecomposition(a_matrix=A, nonlinear_part=nonlinear_part, equilibrium=x0)
+    return decomp
 
 
 def left_eigenpair(decomp: LinearDecomposition, which: Optional[float] = None) -> EigenPair:

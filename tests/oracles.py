@@ -54,3 +54,32 @@ def random_spd_matrix(d, seed):
     gen = np.random.default_rng(seed)
     S = gen.uniform(-1, 1, size=(d, d))
     return S @ S.T + 0.1 * np.eye(d)
+
+
+def fd_dirichlet_1d(drift, a, source, lam, lower, upper, psi, n):
+    """Solve ``G h' + (1/2) a h'' - lam h = -f`` on [lower, upper] with ``h = psi``
+    at both ends, by central differences on ``n`` interior nodes.
+
+    ``drift``, ``a`` and ``source`` map a vector of points to G, the diffusion
+    tensor and f there; ``psi`` is the pair of end values.  The tridiagonal
+    system is solved by forward elimination and back substitution.  Returns
+    the nodes and h there, ends included.
+    """
+    x = np.linspace(lower, upper, n + 2)
+    dx = x[1] - x[0]
+    xi = x[1:-1]
+    g, half_a = drift(xi) / (2 * dx), 0.5 * a(xi) / dx**2
+    sub, diag, sup = half_a - g, -2 * half_a - lam, half_a + g
+    rhs = -source(xi)
+    rhs[0] -= sub[0] * psi[0]
+    rhs[-1] -= sup[-1] * psi[1]
+    for i in range(1, n):
+        m = sub[i] / diag[i - 1]
+        diag[i] -= m * sup[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    h = np.empty(n + 2)
+    h[0], h[-1] = psi
+    h[n] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        h[i + 1] = (rhs[i] - sup[i] * h[i + 2]) / diag[i]
+    return x, h

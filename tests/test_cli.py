@@ -439,7 +439,9 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("case", ["config_is_a_directory", "queries_is_a_directory",
-                                      "solve_out_is_a_file", "reproduce_out_is_a_file"])
+                                      "solve_out_is_a_file", "reproduce_out_is_a_file",
+                                      "solution_json_is_a_directory",
+                                      "fk_estimates_csv_is_a_directory"])
     def test_os_error_on_a_path_exits_2(self, tmp_path, capsys, case):
         cfg = write_config(tmp_path, OU_DOC)
         queries = tmp_path / "q.csv"
@@ -454,11 +456,20 @@ class TestExitCodes:
                                         "--out", out], tmp_path),
             "solve_out_is_a_file": (["solve", "--config", cfg, "--out", str(taken)], taken),
             "reproduce_out_is_a_file": (["reproduce", "test1", "--out", str(taken)], taken),
+            # an output file inside --out that cannot be written
+            "solution_json_is_a_directory": (["solve", "--config", cfg, "--out", out],
+                                             os.path.join(out, "solution.json")),
+            "fk_estimates_csv_is_a_directory": (["fk", "--config", cfg, "--queries",
+                                                 str(queries), "--out", out],
+                                                os.path.join(out, "fk_estimates.csv")),
         }[case]
+        if os.path.dirname(path) == out:
+            os.makedirs(path)
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
+        assert not list(tmp_path.rglob("*.partial"))
 
     def test_overflowing_fk_step_count_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": "quadratic",

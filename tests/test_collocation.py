@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import fd_dirichlet_1d
 from sdekoopman import (AssembledSystem, CollocationGrid, CollocationSolution,
                         Domain, GaussianKernel, GridSpec, assemble, get_model,
                         make_grid, pde_residual, residual_test_points, solve,
@@ -384,6 +385,25 @@ class TestResiduals:
         res = pde_residual(sol, quadratic_setup.system, pts)
         assert res.per_point.shape == (200,)
         assert res.max >= res.mean >= 0.0
+
+
+class TestFiniteDifferenceOracle:
+    def test_quadratic_matches_fd_dirichlet_solve(self):
+        # the paper's lambda = -1 problem with sigma = 2; collocation poses no
+        # boundary condition, so the oracle takes h_colloc at both ends, and
+        # gamma = 1e-8 keeps the ridge's residual below the oracle's O(dx^2)
+        s = get_model("quadratic", sigma=2.0)
+        sol, _, _ = solve_system(s.system, s.decomp, s.eigenpair,
+                                 GaussianKernel(s.lengthscale),
+                                 make_grid(s.domain, s.grid_spec), 1e-8)
+        (lo,), (hi,) = s.domain.lower, s.domain.upper
+        w = s.eigenpair.left_eigenvector
+        x, h = fd_dirichlet_1d(lambda x: s.system.drift_at(x[:, None])[:, 0],
+                               lambda x: np.full(x.size, 2.0**2),
+                               lambda x: s.decomp.nonlinear_at(x[:, None]) @ w,
+                               s.eigenpair.eigenvalue, lo, hi,
+                               sol.eval_h(np.array([[lo], [hi]])), 1000)
+        assert np.max(np.abs(sol.eval_h(x[:, None]) - h)) < 1e-6
 
 
 class TestSerialization:

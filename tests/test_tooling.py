@@ -80,3 +80,61 @@ def test_no_worker_pool_on_the_import_path():
     proc = subprocess.run([sys.executable, "-c", NO_POOL_IMPORTS], cwd=ROOT / "bench",
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+PIN_BEFORE_NUMPY = r"""
+import os, sys
+
+class FirstNumpyImport:
+    # a finder that records the BLAS pin when numpy is first looked up
+    pin = "numpy never imported"
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and "numpy" not in sys.modules:
+            FirstNumpyImport.pin = os.environ.get("OPENBLAS_NUM_THREADS")
+        return None
+
+sys.meta_path.insert(0, FirstNumpyImport())
+import sdekoopman.cli
+assert FirstNumpyImport.pin == "1", FirstNumpyImport.pin
+"""
+
+
+def test_blas_pinned_before_numpy_loads():
+    # BLAS sizes its pool when numpy loads, so importing the CLI must set the
+    # pin first, with none inherited from the environment
+    env = {k: v for k, v in os.environ.items() if "THREADS" not in k}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-c", PIN_BEFORE_NUMPY], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+TRACED_CLI = r"""
+import json, os, sys
+import tracing
+import sdekoopman.cli as cli
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+work = sys.argv[1]
+cfg = os.path.join(work, "cfg.json")
+with open(cfg, "w") as fh:
+    json.dump({"model": "ou", "fk": {"n_paths": 200, "t_max": 2.0}}, fh)
+assert cli.main(["reproduce", "test1", "--out", os.path.join(work, "r")]) == 0
+assert cli.main(["solve", "--config", cfg, "--out", os.path.join(work, "s")]) == 0
+calls = tracer.calls
+assert calls["cli.main"] == 2, dict(calls)
+assert calls["validation.run_experiment"] == 1, dict(calls)
+assert calls["validation.solve_and_report"] == 2, dict(calls)  # test1, then solve
+"""
+
+
+def test_traced_cli_records_library_spans(tmp_path):
+    # the CLI calls the library through module attributes, which is where the
+    # benchmark's tracer puts its wrappers
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", TRACED_CLI, str(tmp_path)],
+                          cwd=ROOT / "bench", env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
