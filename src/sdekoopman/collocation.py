@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AssemblyError, SingularSystemError
-from .kernels import GaussianKernel, first_close_pair
+from .kernels import GaussianKernel, _block_rows, first_close_pair
 from .models import (Domain, EigenPair, LinearDecomposition, SdeSystem, is_int,
                      tensor_points)
 
@@ -124,6 +124,11 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     The diffusion entries are the Hessian-trace form of
     :func:`_half_trace_term`: exact for any sigma, singular included, and
     D = 0 exactly when sigma vanishes.
+
+    L, D and M are filled in row blocks whose (rows, N, d) difference tensor
+    stays within ``_block_rows``' cap, so beyond the four N x N matrices
+    K, L, D and M only one block's temporaries are held.  Each entry is the
+    expression of the whole-matrix formula, in the same order.
     """
     if not np.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma!r}")
@@ -132,16 +137,25 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     X = grid.points
     N, d = X.shape
     l2 = kern.lengthscale**2
+    lam = eigenpair.eigenvalue
 
     K = kern.eval_matrix(X, X)
-    diff = X[:, None, :] - X[None, :, :]  # diff[i, j] = x_i - x_j
     G = system.drift_at(X)
-    L = -(np.einsum("id,ijd->ij", G, diff) / l2) * K
-
-    D = _half_trace_term(K, diff, system.sigma_at(X), l2)
+    S = system.sigma_at(X)
+    L, D, M = np.empty((N, N)), np.empty((N, N)), np.empty((N, N))
+    rows = _block_rows(N * d)
+    for i in range(0, N, rows):
+        blk = slice(i, i + rows)
+        diff = X[blk, None, :] - X[None, :, :]  # diff[i, j] = x_i - x_j
+        Kb = K[blk]
+        L[blk] = -(np.einsum("id,ijd->ij", G[blk], diff) / l2) * Kb
+        D[blk] = _half_trace_term(Kb, diff, S[blk], l2)
+        # gamma I added over the whole (rows, N) slice, not on its diagonal
+        # only: -0.0 + 0.0 is +0.0, so the off-diagonal signs of zero are
+        # those of the whole-matrix sum
+        M[blk] = L[blk] + D[blk] - lam * Kb + gamma * np.eye(len(Kb), N, k=i)
 
     f = decomp.nonlinear_from_drift(X, G) @ eigenpair.left_eigenvector
-    M = L + D - eigenpair.eigenvalue * K + gamma * np.eye(N)
 
     for name, mat in (("gram", K), ("drift", L), ("diffusion", D)):
         bad = ~np.isfinite(mat)
@@ -345,42 +359,64 @@ def solution_from_json_dict(doc: dict) -> CollocationSolution:
     )
 
 
-def _json_array_chunks(a: Array):
-    """Yield the text ``json.dumps(a.tolist())`` writes, one leading-axis row at a time.
+# Entries of an array that the writer spells at once, in whole leading-axis
+# rows (81 rows of a 1600-column matrix, all of a 225 x 225 one); each block
+# spells its own distinct values, so memory stays O(block).  On the
+# N = 1600 linear2d matrices, blocks of 2**16 to 2**18 entries wrote gram and
+# diffusion in a median 0.32-0.40 s each, 2**15-entry blocks in 0.45-0.52 s.
+_JSON_BLOCK = 1 << 17
+# Share of distinct values above which a finite block is written directly:
+# spelling each distinct value once then costs more than spelling every
+# entry (random 64 x 1600 blocks broke even at about 0.7 distinct).
+_JSON_DISTINCT = 0.75
 
-    Each distinct float64 bit pattern (so -0.0 stays apart from 0.0) is
-    spelled once, as ``json.dumps`` spells it: ``float.__repr__`` for finite
-    values, ``NaN``/``Infinity``/``-Infinity`` otherwise.  Kernel matrices
-    repeat few values, so this formats far fewer floats than there are
-    entries.
+
+def _json_items(blk: Array) -> str:
+    """The items of ``json.dumps(blk.tolist())``, without the outer brackets.
+
+    A finite block of mostly distinct values is ``repr`` of its nested
+    lists, the text ``json.dumps`` writes for finite floats.  Otherwise each
+    distinct float64 bit pattern (so -0.0 stays apart from 0.0) is spelled
+    once, as ``json.dumps`` spells it: ``float.__repr__`` for finite values,
+    ``NaN``/``Infinity``/``-Infinity`` otherwise.
     """
-    bits, inverse = np.unique(np.ascontiguousarray(a).view(np.uint64).ravel(),
-                              return_inverse=True)
+    bits, inverse = np.unique(blk.view(np.uint64).ravel(), return_inverse=True)
     values = bits.view(np.float64)
+    finite = np.isfinite(values)
+    if bits.size > _JSON_DISTINCT * blk.size and finite.all():
+        return repr(blk.tolist())[1:-1]
     text = list(map(float.__repr__, values.tolist()))
-    for i in np.flatnonzero(~np.isfinite(values)):
+    for i in np.flatnonzero(~finite):
         text[i] = json.dumps(float(values[i]))
-    text = np.array(text, dtype=object)
-    inverse = inverse.reshape(a.shape)
+    text = np.array(text, dtype=object)[inverse.reshape(blk.shape)]
 
-    def nested(idx):
-        items = text[idx].tolist() if idx.ndim == 1 else map(nested, idx)
-        return "[" + ", ".join(items) + "]"
+    def items(t):
+        return ", ".join(t.tolist() if t.ndim == 1 else ("[" + items(r) + "]" for r in t))
 
-    if a.ndim == 1:
-        yield nested(inverse)
-        return
+    return items(text)
+
+
+def _json_array_chunks(a: Array):
+    """Yield the text ``json.dumps(a.tolist())`` writes, in blocks of whole
+    leading-axis rows of at most ``_JSON_BLOCK`` entries (see
+    :func:`_json_items`).
+
+    Beyond the array it holds one block's sort, index and strings, so the
+    N x N matrices of an assembled system are written in O(block) memory.
+    """
+    a = np.ascontiguousarray(a)
+    rows = max(1, _JSON_BLOCK // max(1, a[0].size)) if len(a) else 1
     yield "["
-    for i, row in enumerate(inverse):
-        yield (", " if i else "") + nested(row)
+    for i in range(0, len(a), rows):
+        yield (", " if i else "") + _json_items(a[i:i + rows])
     yield "]"
 
 
 def save_solution(path, sol: CollocationSolution, asys: Optional[AssembledSystem] = None):
     """Write the solution document, byte for byte ``json.dumps(...) + "\\n"``.
 
-    The document is streamed key by key and row by row (see
-    :func:`_json_array_chunks`), so no nested lists of Python floats and no
+    The document is streamed key by key and in row blocks (see
+    :func:`_json_array_chunks`), so no nested lists of a whole array and no
     whole-document string are built.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:

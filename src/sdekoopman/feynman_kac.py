@@ -50,6 +50,10 @@ Array = np.ndarray
 
 DISCOUNT_GUARD = 1e12
 
+# Most Euler-Maruyama steps ``t_max / dt`` one path may take; every preset,
+# test and benchmark takes at most 20,000 (dt 0.0025, t_max 50).
+_MAX_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class FkConfig:
@@ -73,6 +77,9 @@ class FkConfig:
             raise ValueError("t_max must be >= dt")
         if not np.isfinite(self.t_max / self.dt):
             raise ValueError("t_max / dt must be a finite step count")
+        if self.t_max / self.dt > _MAX_STEPS:
+            raise ValueError(f"t_max / dt must be at most {_MAX_STEPS:.0e} steps per "
+                             f"path, got {self.t_max / self.dt:.4g}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -332,6 +339,13 @@ def fk_estimate(system: SdeSystem, decomp: LinearDecomposition, eigenpair: Eigen
 # vCPUs: below 2e5 the forked batch was slower in 23 of 25 shapes; from 1e6
 # on it was faster in 48 of 52 (the sweep is recorded in CHANGES.md).
 _FORK_MIN_PATH_STEPS = 1_000_000
+# Smallest number of path rows each worker steps per time step, ``(n_valid //
+# n_workers) * n_paths``, for which fk_batch forks: a worker saves only the
+# per-row work of a step, while each worker pays the fixed cost of every step.
+# Measured with two workers on 2 vCPUs (111 shapes, bound >= 1e6): at up to
+# 800 rows the forked batch was faster in 8 of 20 shapes (median time ratio
+# 1.04), at 1200-1600 in 17 of 24 (0.94), from 2000 on in 65 of 67 (0.75).
+_FORK_MIN_ROWS = 2_000
 
 
 def _cpu_count() -> int:
@@ -432,10 +446,11 @@ def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     after the first runs in a forked worker process, and an exception raised
     there is raised here.  The batch runs in this process alone when there
     is one group, when ``os.fork`` is missing, when other threads are
-    running (a fork would copy their locks), or when ``n_valid * n_paths *
-    n_steps`` is below ``_FORK_MIN_PATH_STEPS``.  Results do not depend on
-    evaluation order, on how the queries are grouped into blocks, or on the
-    number of workers.
+    running (a fork would copy their locks), when ``n_valid * n_paths *
+    n_steps`` is below ``_FORK_MIN_PATH_STEPS``, or when each worker would
+    step fewer than ``_FORK_MIN_ROWS`` path rows at a time (``n_valid //
+    n_workers * n_paths``).  Results do not depend on evaluation order, on
+    how the queries are grouped into blocks, or on the number of workers.
     """
     if workers is None:
         workers = _cpu_count()
@@ -463,7 +478,8 @@ def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     bound = len(valid) * cfg.n_paths * _n_steps(_horizon(eigenpair.eigenvalue, cfg)[0],
                                                 cfg.dt)
     if (n_workers > 1 and hasattr(os, "fork") and threading.active_count() == 1
-            and bound >= _FORK_MIN_PATH_STEPS):
+            and bound >= _FORK_MIN_PATH_STEPS
+            and len(valid) // n_workers * cfg.n_paths >= _FORK_MIN_ROWS):
         groups = [valid[k::n_workers] for k in range(n_workers)]
     else:
         groups = [valid]

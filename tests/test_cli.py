@@ -480,6 +480,19 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 2
         assert "finite step count" in capsys.readouterr().err
 
+    def test_fk_step_count_above_cap_exits_2(self, tmp_path, capsys):
+        # 5e10 steps per path; the query lies outside the domain, so the run
+        # would step no path and write its CSV if the load let the config by
+        cfg = write_config(tmp_path, {"model": "quadratic",
+                                      "fk": {"n_paths": 10, "dt": 1e-9}})
+        queries = tmp_path / "q.csv"
+        queries.write_text("5.0\n")
+        out = tmp_path / "out"
+        assert main(["fk", "--config", cfg, "--queries", str(queries),
+                     "--out", str(out)]) == 2
+        assert "error: t_max / dt must be at most" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_fit_queries_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, OU_DOC)
         queries = tmp_path / "q.csv"

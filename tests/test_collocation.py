@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from sdekoopman import (AssembledSystem, CollocationGrid, CollocationSolution,
                         Domain, GaussianKernel, GridSpec, assemble, get_model,
                         make_grid, pde_residual, residual_test_points, solve,
                         solve_system)
-from sdekoopman.collocation import (load_solution, save_solution,
+from sdekoopman import collocation
+from sdekoopman.collocation import (_json_array_chunks, load_solution, save_solution,
                                     solution_from_json_dict,
                                     solution_to_json_dict)
 from sdekoopman.errors import AssemblyError, SingularSystemError
-from sdekoopman.models import SdeSystem, linearize
+from sdekoopman.models import EigenPair, SdeSystem, linearize, tensor_points
 from sdekoopman.registry import constant_diffusion
 
 
@@ -488,3 +490,125 @@ def _sol_pair(asys):
     sol, _, _ = solve_system(s.system, s.decomp, s.eigenpair,
                              GaussianKernel(s.lengthscale), grid, s.gamma)
     return sol, asys
+
+
+class TestBlockedWriter:
+    """_json_array_chunks spells each row block on its own, byte for byte as
+    ``json.dumps`` spells the whole array."""
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_blocks_of_one_and_seven_rows(self, monkeypatch, tmp_path, linear2d_setup, rows):
+        s = linear2d_setup
+        grid = make_grid(s.domain, GridSpec("tensor", 6))
+        sol, asys, _ = solve_system(s.system, s.decomp, s.eigenpair,
+                                    GaussianKernel(s.lengthscale), grid, s.gamma)
+        monkeypatch.setattr(collocation, "_JSON_BLOCK", rows * grid.n_points)
+        path = tmp_path / "solution.json"
+        save_solution(path, sol, asys)
+        expected = json.dumps(solution_to_json_dict(sol, asys)) + "\n"
+        assert path.read_bytes() == expected.encode("ascii")
+        vec = np.linspace(-1.0, 1.0, 5 * grid.n_points + 3)  # 1-d, several blocks
+        assert "".join(_json_array_chunks(vec)) == json.dumps(vec.tolist())
+
+    def test_non_finite_value_in_a_mostly_distinct_block(self, monkeypatch):
+        # rows 3-5 hold a NaN among distinct values, so that block is spelled
+        # value by value; the other blocks are finite and written directly
+        a = np.random.default_rng(3).standard_normal((9, 11))
+        a[4, 3] = np.nan
+        a[0, :2] = [-0.0, 0.0]
+        monkeypatch.setattr(collocation, "_JSON_BLOCK", 3 * 11)
+        direct = []
+        monkeypatch.setattr(collocation, "repr", lambda v: direct.append(v) or repr(v),
+                            raising=False)
+        text = "".join(_json_array_chunks(a))
+        assert text == json.dumps(a.tolist())
+        assert "NaN" in text and text.startswith("[[-0.0, 0.0, ")
+        assert [np.shape(v) for v in direct] == [(3, 11), (3, 11)]
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_empty_arrays(self, shape):
+        a = np.empty(shape)
+        assert "".join(_json_array_chunks(a)) == json.dumps(a.tolist())
+
+    def test_memory_is_one_block(self):
+        # a whole-array pass held a sort, an inverse index and one string per
+        # distinct value: about 79 MB for this 5.1 MB array, 12 MB in blocks
+        a = np.random.default_rng(0).standard_normal((800, 800))
+        tracemalloc.start()
+        try:
+            for _ in _json_array_chunks(a):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * a.nbytes
+
+
+def _one_shot(system, eigenpair, kern, grid, gamma):
+    """K, L, D and M by the whole-matrix formula, with its (N, N, d) tensor."""
+    X = grid.points
+    l2 = kern.lengthscale**2
+    K = kern.eval_matrix(X, X)
+    diff = X[:, None, :] - X[None, :, :]
+    L = -(np.einsum("id,ijd->ij", system.drift_at(X), diff) / l2) * K
+    D = collocation._half_trace_term(K, diff, system.sigma_at(X), l2)
+    M = L + D - eigenpair.eigenvalue * K + gamma * np.eye(len(X))
+    return K, L, D, M
+
+
+def _far_node_problem(dim):
+    """A ``dim``-d system on [-3, 3]^dim with a rotating drift, a
+    state-dependent diffusion that drives the first coordinate only
+    (singular for dim > 1), lambda = +1, and nodes so far apart for the
+    lengthscale that the kernel underflows to 0.  For dim > 1 the
+    off-diagonal ``L + D - lambda K`` then holds -0.0 entries, where D is
+    0 * (-Tr a / l^2) and L is -0.0."""
+    A = -np.eye(dim) + 2.0 * (np.eye(dim, k=1) - np.eye(dim, k=-1))
+
+    def drift(x):
+        return x @ A.T + 0.2 * x**2
+
+    def sigma(x):
+        x = np.asarray(x, dtype=float)
+        S = np.zeros(x.shape + (1,))
+        S[..., 0, 0] = 0.5 + 0.1 * x[..., 0]
+        return S
+
+    system = SdeSystem(dim_state=dim, dim_noise=1, drift=drift, diffusion_factor=sigma)
+    pair = EigenPair(eigenvalue=1.0, left_eigenvector=np.eye(dim)[0])
+    n = {1: 61, 2: 9, 3: 5}[dim]
+    grid = CollocationGrid(points=tensor_points([-3.0] * dim, [3.0] * dim, n))
+    return system, linearize(system, a_matrix=A), pair, GaussianKernel(0.1), grid
+
+
+class TestBlockedAssembly:
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blocks_equal_one_shot_bits(self, monkeypatch, dim, rows):
+        system, decomp, pair, kern, grid = _far_node_problem(dim)
+        expected = _one_shot(system, pair, kern, grid, 1e-4)
+        if dim > 1:  # gamma I must reach the off-diagonal -0.0 entries too
+            K, L, D, M = expected
+            assert np.signbit((L + D - pair.eigenvalue * K)[M == 0]).any()
+        monkeypatch.setattr(collocation, "_block_rows", lambda n_cols: rows)
+        asys = assemble(system, decomp, pair, kern, grid, 1e-4)
+        got = (asys.gram, asys.drift_mat, asys.diff_mat, asys.system_matrix)
+        for mat, want in zip(got, expected):
+            assert np.array_equal(mat.view(np.uint64), want.view(np.uint64))
+
+    def test_memory_is_four_matrices_and_one_block(self, linear2d_setup):
+        # the whole-matrix formula also held the (N, N, 2) difference tensor
+        # and whole-matrix temporaries: 52 MB here, against 28 MB in blocks
+        s = linear2d_setup
+        grid = make_grid(s.domain, GridSpec("tensor", 30))
+        kern = GaussianKernel(s.lengthscale)
+        tracemalloc.start()
+        try:
+            assemble(s.system, s.decomp, s.eigenpair, kern, grid, s.gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = grid.n_points
+        # K, L, D and M, plus half a matrix for one block's temporaries and
+        # the N x N bool masks of the finiteness check
+        assert peak < 4.5 * 8 * n * n

@@ -117,6 +117,10 @@ class TestFkConfig:
             FkConfig(t_max=float("nan"))
         with pytest.raises(ValueError, match="finite step count"):
             FkConfig(dt=1e-320)  # t_max / dt overflows to inf
+        with pytest.raises(ValueError, match=r"t_max / dt must be at most 1e\+07 steps "
+                                             r"per path, got 5e\+10"):
+            FkConfig(n_paths=10, dt=1e-9)
+        assert FkConfig(dt=5e-6).t_max / 5e-6 == 1e7  # the cap itself is allowed
         with pytest.raises(ValueError, match="n_paths must be an integer"):
             FkConfig(n_paths=True)
         with pytest.raises(ValueError, match="antithetic must be a bool, got 'no'"):
@@ -489,6 +493,7 @@ def forced_fork(monkeypatch):
     """Fork workers for any batch size; yields the pids forked, and checks
     afterwards that every child was reaped."""
     monkeypatch.setattr(feynman_kac, "_FORK_MIN_PATH_STEPS", 0)
+    monkeypatch.setattr(feynman_kac, "_FORK_MIN_ROWS", 0)
     parent, forked = os.getpid(), []
     fork = os.fork
 
@@ -611,6 +616,32 @@ class TestForkedWorkers:
         monkeypatch.setattr(feynman_kac, "_FORK_MIN_PATH_STEPS", 4 * 40 * 50)
         assert [repr(e) for e in fk_batch(*problem, pts, cfg, workers=2)] == expected
         assert len(forced_fork) == 1
+        # each of the two workers steps 2 queries x 40 paths at a time
+        monkeypatch.setattr(feynman_kac, "_FORK_MIN_ROWS", 2 * 40 + 1)
+        assert [repr(e) for e in fk_batch(*problem, pts, cfg, workers=2)] == expected
+        assert len(forced_fork) == 1
+        monkeypatch.setattr(feynman_kac, "_FORK_MIN_ROWS", 2 * 40)
+        assert [repr(e) for e in fk_batch(*problem, pts, cfg, workers=2)] == expected
+        assert len(forced_fork) == 2
+
+    def test_fork_rule_at_the_measured_thresholds(self, monkeypatch):
+        groups = []
+
+        def record(task, gs):
+            groups.append([len(g) for g in gs])
+            return [[None] * len(g) for g in gs]
+
+        monkeypatch.setattr(feynman_kac, "_in_workers", record)
+        s = get_model("quadratic", sigma=0.5)
+        pair = EigenPair(eigenvalue=1.0, left_eigenvector=np.array([1.0]))
+        problem = (s.system, s.decomp, pair, s.domain)
+        # the benchmark's cross-check batch, 9 queries x 1000 paths x 5000
+        # steps, forks; 2 queries x 100 paths x 5000 steps (bound 1e6) do not
+        fk_batch(*problem, np.linspace(-1.0, 1.0, 9)[:, None],
+                 FkConfig(dt=0.01, n_paths=1000, t_max=50.0), workers=2)
+        fk_batch(*problem, [[-0.5], [0.5]], FkConfig(dt=0.01, n_paths=100, t_max=50.0),
+                 workers=2)
+        assert groups == [[5, 4], [2]]
 
     @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
     def test_workers_validated(self, workers):
