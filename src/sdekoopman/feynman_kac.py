@@ -50,9 +50,17 @@ Array = np.ndarray
 
 DISCOUNT_GUARD = 1e12
 
-# Most Euler-Maruyama steps ``t_max / dt`` one path may take; every preset,
+# Most Euler-Maruyama steps one path may take, for the Feynman-Kac cap
+# ``t_max / dt`` and for every semigroup horizon ``t / dt``; every preset,
 # test and benchmark takes at most 20,000 (dt 0.0025, t_max 50).
 _MAX_STEPS = 10**7
+
+
+def _check_step_count(steps: float, what: str) -> None:
+    """Reject a per-path step count ``steps`` (spelled ``what``) above the cap."""
+    if steps > _MAX_STEPS:
+        raise ValueError(f"{what} must be at most {_MAX_STEPS:.0e} steps per "
+                         f"path, got {steps:.4g}")
 
 
 @dataclass(frozen=True)
@@ -77,9 +85,7 @@ class FkConfig:
             raise ValueError("t_max must be >= dt")
         if not np.isfinite(self.t_max / self.dt):
             raise ValueError("t_max / dt must be a finite step count")
-        if self.t_max / self.dt > _MAX_STEPS:
-            raise ValueError(f"t_max / dt must be at most {_MAX_STEPS:.0e} steps per "
-                             f"path, got {self.t_max / self.dt:.4g}")
+        _check_step_count(self.t_max / self.dt, "t_max / dt")
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -340,11 +346,12 @@ def fk_estimate(system: SdeSystem, decomp: LinearDecomposition, eigenpair: Eigen
 # on it was faster in 48 of 52 (the sweep is recorded in CHANGES.md).
 _FORK_MIN_PATH_STEPS = 1_000_000
 # Smallest number of path rows each worker steps per time step, ``(n_valid //
-# n_workers) * n_paths``, for which fk_batch forks: a worker saves only the
-# per-row work of a step, while each worker pays the fixed cost of every step.
-# Measured with two workers on 2 vCPUs (111 shapes, bound >= 1e6): at up to
-# 800 rows the forked batch was faster in 8 of 20 shapes (median time ratio
-# 1.04), at 1200-1600 in 17 of 24 (0.94), from 2000 on in 65 of 67 (0.75).
+# n_workers) * n_paths``; fk_batch uses no more workers than keep each one at
+# or above it, since a worker saves only the per-row work of a step while each
+# worker pays the fixed cost of every step.  Measured with two workers on 2
+# vCPUs (111 shapes, bound >= 1e6): at up to 800 rows the forked batch was
+# faster in 8 of 20 shapes (median time ratio 1.04), at 1200-1600 in 17 of 24
+# (0.94), from 2000 on in 65 of 67 (0.75).
 _FORK_MIN_ROWS = 2_000
 
 
@@ -441,16 +448,17 @@ def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     Per-point failures are recorded on the estimate (``failure`` message,
     NaN value) instead of aborting the batch.
 
-    The valid queries are dealt round-robin to ``min(workers, n_valid)``
-    groups (``workers=None``: the CPUs this process may use).  Each group
-    after the first runs in a forked worker process, and an exception raised
-    there is raised here.  The batch runs in this process alone when there
-    is one group, when ``os.fork`` is missing, when other threads are
-    running (a fork would copy their locks), when ``n_valid * n_paths *
-    n_steps`` is below ``_FORK_MIN_PATH_STEPS``, or when each worker would
-    step fewer than ``_FORK_MIN_ROWS`` path rows at a time (``n_valid //
-    n_workers * n_paths``).  Results do not depend on evaluation order, on
-    how the queries are grouped into blocks, or on the number of workers.
+    The valid queries are dealt round-robin to ``min(workers, n_valid //
+    ceil(_FORK_MIN_ROWS / n_paths))`` groups (``workers=None``: the CPUs
+    this process may use), the most for which each worker steps at least
+    ``_FORK_MIN_ROWS`` path rows at a time.  Each group after the first runs
+    in a forked worker process, and an exception raised there is raised
+    here.  The batch runs in this process alone when there is one group,
+    when ``os.fork`` is missing, when other threads are running (a fork
+    would copy their locks), or when ``n_valid * n_paths * n_steps`` is
+    below ``_FORK_MIN_PATH_STEPS``.  Results do not depend on evaluation
+    order, on how the queries are grouped into blocks, or on the number of
+    workers.
     """
     if workers is None:
         workers = _cpu_count()
@@ -474,12 +482,12 @@ def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
             ests += _fk_block(system, decomp, eigenpair, domain, pts[block], block, cfg)
         return ests
 
-    n_workers = min(workers, len(valid))
+    per_worker = max(1, -(-_FORK_MIN_ROWS // cfg.n_paths))  # fewest queries a worker takes
+    n_workers = min(workers, len(valid) // per_worker)
     bound = len(valid) * cfg.n_paths * _n_steps(_horizon(eigenpair.eigenvalue, cfg)[0],
                                                 cfg.dt)
     if (n_workers > 1 and hasattr(os, "fork") and threading.active_count() == 1
-            and bound >= _FORK_MIN_PATH_STEPS
-            and len(valid) // n_workers * cfg.n_paths >= _FORK_MIN_ROWS):
+            and bound >= _FORK_MIN_PATH_STEPS):
         groups = [valid[k::n_workers] for k in range(n_workers)]
     else:
         groups = [valid]
@@ -534,8 +542,8 @@ def horizon_steps(t_list, dt: float) -> list[int]:
     """Numbers of ``dt`` steps in the horizons ``t_list``.
 
     The horizons must be positive and strictly increasing, each a whole
-    number of steps up to 1e-9 of a step (so 0.3 / 0.01 counts as 30), and
-    no two may fall on one step.
+    number of steps up to 1e-9 of a step (so 0.3 / 0.01 counts as 30) and
+    at most ``_MAX_STEPS``, and no two may fall on one step.
     """
     ts = [float(t) for t in t_list]
     if not ts or any(t <= 0 for t in ts) or any(b <= a for a, b in zip(ts, ts[1:])):
@@ -543,7 +551,10 @@ def horizon_steps(t_list, dt: float) -> list[int]:
     counts = []
     for t in ts:
         steps = t / dt
-        n = round(steps) if np.isfinite(steps) else 0
+        n = 0
+        if np.isfinite(steps):
+            _check_step_count(steps, f"horizon {t!r} / dt")
+            n = round(steps)
         if n < 1 or abs(steps - n) > 1e-9:
             raise ValueError(f"horizon {t!r} must be a positive whole number of "
                              f"time steps of dt={dt!r}")

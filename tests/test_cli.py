@@ -333,6 +333,7 @@ class TestSemigroupCurveCommand:
         ("0.1,0.104", "whole number of time steps"),
         ("0.1,inf", "whole number of time steps"),
         ("0.1,0.1000000000001", "same time step"),
+        ("0.1,1e9", "horizon 1000000000.0 / dt must be at most 1e+07 steps"),
     ])
     def test_bad_t_list_rejected_before_solving(self, tmp_path, capsys, monkeypatch,
                                                 t_list, message):

@@ -12,7 +12,7 @@ from sdekoopman import (CollocationGrid, Domain, EigenPair, FkConfig,
                         krr_fit, mc_convergence_probe, simulate_terminal)
 from sdekoopman.cli import _fk_estimates_csv
 from sdekoopman.errors import EvaluationError
-from sdekoopman.feynman_kac import _NormalStream, counter_normals
+from sdekoopman.feynman_kac import _NormalStream, counter_normals, horizon_steps
 from sdekoopman.models import SdeSystem, linearize
 from sdekoopman.registry import constant_diffusion
 
@@ -466,6 +466,16 @@ class TestSimulator:
                 simulate_terminal(s, np.array([1.0]), 2 * cfg.dt, cfg)
         assert str(info.value).endswith(f"from state {before[0]}")
 
+    def test_horizon_step_count_capped(self):
+        # the cap of FkConfig's t_max / dt holds for every horizon as well
+        assert horizon_steps([0.1, 1e5], 0.01) == [10, 10**7]
+        with pytest.raises(ValueError, match=r"horizon 200000.0 / dt must be at most "
+                                             r"1e\+07 steps per path, got 2e\+07"):
+            horizon_steps([0.1, 2e5], 0.01)
+        s = get_model("ou").system
+        with pytest.raises(ValueError, match=r"must be at most 1e\+07 steps"):
+            simulate_terminal(s, np.array([1.0]), 1e9, FkConfig(n_paths=1))
+
 
 class TestCsv:
     def test_columns_and_determinism(self, ou_setup):
@@ -636,12 +646,16 @@ class TestForkedWorkers:
         pair = EigenPair(eigenvalue=1.0, left_eigenvector=np.array([1.0]))
         problem = (s.system, s.decomp, pair, s.domain)
         # the benchmark's cross-check batch, 9 queries x 1000 paths x 5000
-        # steps, forks; 2 queries x 100 paths x 5000 steps (bound 1e6) do not
-        fk_batch(*problem, np.linspace(-1.0, 1.0, 9)[:, None],
-                 FkConfig(dt=0.01, n_paths=1000, t_max=50.0), workers=2)
+        # steps, forks; with 8 workers it takes the 4 that each step at least
+        # 2 queries x 1000 paths; 2 queries x 100 paths x 5000 steps (bound
+        # 1e6) do not fork
+        crosscheck = (np.linspace(-1.0, 1.0, 9)[:, None],
+                      FkConfig(dt=0.01, n_paths=1000, t_max=50.0))
+        fk_batch(*problem, *crosscheck, workers=2)
+        fk_batch(*problem, *crosscheck, workers=8)
         fk_batch(*problem, [[-0.5], [0.5]], FkConfig(dt=0.01, n_paths=100, t_max=50.0),
                  workers=2)
-        assert groups == [[5, 4], [2]]
+        assert groups == [[5, 4], [3, 2, 2, 2], [2]]
 
     @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
     def test_workers_validated(self, workers):
