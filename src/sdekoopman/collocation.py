@@ -28,9 +28,35 @@ Array = np.ndarray
 
 GRID_KINDS = ("uniform_1d", "tensor", "sobol")
 
-# Rows of K(x, nodes) that eval_h holds at once; a multiple of 4, so each chunk's
-# product with the coefficients rounds as the unchunked one (gemv blocks 4 rows).
-_EVAL_ROWS = 512
+
+def _eval_rows(n_cols: int) -> int:
+    """Rows of evaluation points taken at once: the largest multiple of 4 whose
+    (rows, n_cols) float block fits in ``_CHUNK_BYTES``, and at least 4.  gemv
+    rounds rows in groups of 4, so each block's products with the
+    coefficients keep the bits of the whole-matrix product."""
+    return max(4, _block_rows(n_cols) // 4 * 4)
+
+
+def _kernel_blocks(kern: GaussianKernel, X: Array, centres: Array, rows: int):
+    """Yield ``(rows_slice, K)`` for blocks of ``rows`` points of ``X``: ``K``
+    holds the kernel rows of ``X[rows_slice]`` against ``centres``, written
+    into one block (and one scratch block) that all blocks reuse."""
+    n = X.shape[0]
+    block = np.empty((min(rows, n), centres.shape[0]))
+    scratch = kern.eval_scratch(block.shape[0], centres)
+    for i in range(0, n, rows):
+        yield slice(i, i + rows), kern.eval_matrix(X[i:i + rows], centres,
+                                                   out=block[:n - i], scratch=scratch)
+
+
+def _eval_points(x, dim: int) -> Array:
+    """``x`` as an (n, dim) float array of points; a ValueError names its shape
+    when the points are not ``dim`` wide."""
+    X = np.atleast_2d(np.asarray(x, dtype=float))
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError(f"points must have {dim} coordinates each, got shape "
+                         f"{np.shape(x)}")
+    return X
 
 
 @dataclass(frozen=True)
@@ -233,27 +259,22 @@ class CollocationSolution:
     def eval_h(self, x: Array):
         """Nonlinear correction ``h(x) = sum_j alpha_j k(x, x_j)``; batched.
 
-        The kernel rows are formed ``_EVAL_ROWS`` at a time, in one block
-        (and one scratch block) allocated for all of them.
+        The kernel rows are formed :func:`_eval_rows` at a time by
+        :func:`_kernel_blocks`.  Points that are not ``grid.dim`` wide raise
+        ValueError.
         """
-        x = np.asarray(x, dtype=float)
-        X = np.atleast_2d(x)
+        X = _eval_points(x, self.grid.dim)
         centres = self.grid.points
         vals = np.empty(X.shape[0])
-        block = np.empty((min(_EVAL_ROWS, X.shape[0]), centres.shape[0]))
-        scratch = self.kernel.eval_scratch(block.shape[0], centres)
-        for i in range(0, X.shape[0], _EVAL_ROWS):
-            K = self.kernel.eval_matrix(X[i:i + _EVAL_ROWS], centres,
-                                        out=block[:X.shape[0] - i], scratch=scratch)
-            vals[i:i + _EVAL_ROWS] = K @ self.coefficients
-        return float(vals[0]) if x.ndim == 1 else vals
+        for blk, K in _kernel_blocks(self.kernel, X, centres, _eval_rows(len(centres))):
+            vals[blk] = K @ self.coefficients
+        return float(vals[0]) if np.ndim(x) == 1 else vals
 
     def eval_phi(self, x: Array):
         """Eigenfunction ``phi(x) = w^T (x - x*) + h(x)``; batched."""
-        x = np.asarray(x, dtype=float)
-        X = np.atleast_2d(x)
+        X = _eval_points(x, self.grid.dim)
         vals = (X - self.equilibrium) @ self.eigenpair.left_eigenvector + self.eval_h(X)
-        return float(vals[0]) if x.ndim == 1 else vals
+        return float(vals[0]) if np.ndim(x) == 1 else vals
 
 
 def solve_system(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
@@ -284,20 +305,37 @@ def pde_residual(sol: CollocationSolution, system: SdeSystem, test_points) -> Re
     exact kernel derivatives (the linear part w^T x has zero Hessian).  The
     kernel expansion is globally defined, so test points may extend beyond
     the collocation box; residuals grow quickly outside it.
+
+    G and sigma are evaluated once on all points; the kernel rows, the
+    difference tensor and the Hessian-trace term are formed in blocks of
+    :func:`_eval_rows` points, whose (rows, N, d) tensor fits in
+    ``_CHUNK_BYTES``, into one kernel block reused by all of them.  Each
+    value has the bits of the whole-matrix formula.  Raises ValueError when
+    there are no test points, when they are not ``grid.dim`` wide, or when
+    one is not finite.
     """
-    X = np.atleast_2d(np.asarray(test_points, dtype=float))
+    X = _eval_points(test_points, sol.grid.dim)
+    if X.shape[0] == 0:
+        raise ValueError("test_points is empty")
+    if not np.all(np.isfinite(X)):
+        i = int(np.argwhere(~np.isfinite(X))[0, 0])
+        raise ValueError(f"test point {i} is not finite: {X[i].tolist()}")
     G = system.drift_at(X)
     S = system.sigma_at(X)
     w = sol.eigenpair.left_eigenvector
     lam = sol.eigenpair.eigenvalue
     alpha = sol.coefficients
     l2 = sol.kernel.lengthscale**2
-    K = sol.kernel.eval_matrix(X, sol.grid.points)
-    diff = X[:, None, :] - sol.grid.points[None, :, :]
-    grad_phi = w[None, :] - np.einsum("njd,nj,j->nd", diff, K, alpha) / l2
-    phi = (X - sol.equilibrium) @ w + K @ alpha
-    r = (np.einsum("nd,nd->n", G, grad_phi) + _half_trace_term(K, diff, S, l2) @ alpha
-         - lam * phi)
+    nodes = sol.grid.points
+    N, d = nodes.shape
+    linear = (X - sol.equilibrium) @ w
+    r = np.empty(X.shape[0])
+    for blk, K in _kernel_blocks(sol.kernel, X, nodes, _eval_rows(N * d)):
+        diff = X[blk, None, :] - nodes[None, :, :]
+        grad_phi = w[None, :] - np.einsum("njd,nj,j->nd", diff, K, alpha) / l2
+        phi = linear[blk] + K @ alpha
+        r[blk] = (np.einsum("nd,nd->n", G[blk], grad_phi)
+                  + _half_trace_term(K, diff, S[blk], l2) @ alpha - lam * phi)
     r = np.abs(r)
     return ResidualStats(mean=float(r.mean()), max=float(r.max()), per_point=r)
 

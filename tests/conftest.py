@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -45,6 +47,21 @@ def quadratic_solution(quadratic_setup):
     kern = GaussianKernel(s.lengthscale)
     sol, asys, cond = solve_system(s.system, s.decomp, s.eigenpair, kern, grid, s.gamma)
     return sol, asys, cond
+
+
+@pytest.fixture
+def tracemalloc_peak():
+    """``peak(fn, *args)``: the peak bytes tracemalloc traces while ``fn(*args)``
+    runs.  Memory that numpy's linalg takes with plain ``malloc`` (the LU's and
+    the SVD's copies of their matrix) is not traced."""
+    def peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 def rng(seed=0):

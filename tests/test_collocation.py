@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -325,8 +324,11 @@ class TestSolutionEvaluation:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_eval_h_reuses_one_block(self, monkeypatch, dim):
-        # 1100 rows make three chunks; each fills the same kernel block and
-        # scratch, and the values keep the bits of one full kernel matrix
+        # a cap of 512 rows of the 30 nodes makes 1100 rows three chunks; each
+        # fills the same kernel block and scratch, and the values keep the
+        # bits of one full kernel matrix
+        import sdekoopman.kernels as kernels
+        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 512 * 8 * 30)
         rng = np.random.default_rng(dim)
         grid = CollocationGrid(points=rng.uniform(-1, 1, (30, dim)))
         sol = CollocationSolution(coefficients=rng.normal(size=30), grid=grid,
@@ -389,15 +391,136 @@ class TestResiduals:
         assert res.max >= res.mean >= 0.0
 
 
+def _whole_residual(sol, system, X):
+    """|r| at the points X by the whole-matrix formula, with its (n, N, d) tensor."""
+    G, S = system.drift_at(X), system.sigma_at(X)
+    w, lam = sol.eigenpair.left_eigenvector, sol.eigenpair.eigenvalue
+    alpha, l2 = sol.coefficients, sol.kernel.lengthscale**2
+    K = sol.kernel.eval_matrix(X, sol.grid.points)
+    diff = X[:, None, :] - sol.grid.points[None, :, :]
+    grad_phi = w[None, :] - np.einsum("njd,nj,j->nd", diff, K, alpha) / l2
+    phi = (X - sol.equilibrium) @ w + K @ alpha
+    r = (np.einsum("nd,nd->n", G, grad_phi)
+         + collocation._half_trace_term(K, diff, S, l2) @ alpha - lam * phi)
+    return np.abs(r)
+
+
+def _model_solution(name):
+    s = get_model(name, **({"sigma": 0.3} if name == "quadratic" else {}))
+    sol, _, _ = solve_system(s.system, s.decomp, s.eigenpair, GaussianKernel(s.lengthscale),
+                             make_grid(s.domain, s.grid_spec), s.gamma)
+    return s, sol
+
+
+class TestResidualBlocks:
+    """pde_residual in row blocks against the whole-matrix formula."""
+
+    MODELS = ["ou", "quadratic", "linear2d", "langevin"]
+
+    def test_row_rule(self):
+        # 256 KiB blocks: 20 rows of 1600 columns, 8 rows of 1600 x 2
+        assert collocation._eval_rows(1600) == 20
+        assert collocation._eval_rows(3200) == 8
+        assert collocation._eval_rows(40) == 816
+        assert collocation._eval_rows(10**6) == 4
+
+    @pytest.mark.parametrize("rows", [None, 4, 8, 12])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_multiples_of_four_keep_the_bits(self, monkeypatch, name, rows):
+        # 12 rows leave a ragged last block of 8 (200 points) or 4 (400)
+        s, sol = _model_solution(name)
+        pts = residual_test_points(s.domain)
+        want = _whole_residual(sol, s.system, pts)
+        if rows is not None:
+            monkeypatch.setattr(collocation, "_eval_rows", lambda n_cols: rows)
+        got = pde_residual(sol, s.system, pts)
+        assert np.array_equal(got.per_point.view(np.uint64), want.view(np.uint64))
+        assert got.mean == float(want.mean()) and got.max == float(want.max())
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_other_sizes_agree_to_rounding(self, monkeypatch, name, rows):
+        # gemv rounds a lone row apart from rows in groups of 4: on quadratic
+        # 200 of 200 points differ at 1 row and 84 at 7, by at most 8.1e-10
+        # relative (ou, linear2d and langevin kept every bit)
+        s, sol = _model_solution(name)
+        pts = residual_test_points(s.domain)
+        want = _whole_residual(sol, s.system, pts)
+        monkeypatch.setattr(collocation, "_eval_rows", lambda n_cols: rows)
+        got = pde_residual(sol, s.system, pts).per_point
+        assert np.allclose(got, want, rtol=1e-8, atol=0.0)
+
+    def test_reuses_one_block(self, monkeypatch):
+        s, sol = _model_solution("linear2d")
+        monkeypatch.setattr(collocation, "_eval_rows", lambda n_cols: 96)
+        buffers = []
+        eval_matrix = GaussianKernel.eval_matrix
+
+        def record(self, X, Y, out=None, scratch=None):
+            buffers.append((out.base if out.base is not None else out, scratch))
+            return eval_matrix(self, X, Y, out=out, scratch=scratch)
+
+        monkeypatch.setattr(GaussianKernel, "eval_matrix", record)
+        pde_residual(sol, s.system, residual_test_points(s.domain))
+        assert len(buffers) == 5  # 400 points in blocks of 96
+        assert all(b[0] is buffers[0][0] and b[1] is buffers[0][1] for b in buffers)
+        assert buffers[0][0].shape == (96, 225)
+
+    def test_memory_is_one_block(self, linear2d_setup, tracemalloc_peak):
+        # the whole-matrix formula held the (400, 1600, 2) difference tensor
+        # and (400, 1600) temporaries: 35.9 MB; 8-row blocks peak at 0.9 MB
+        s = linear2d_setup
+        grid = make_grid(s.domain, GridSpec("tensor", 40))
+        sol = CollocationSolution(coefficients=np.random.default_rng(0).normal(size=1600),
+                                  grid=grid, kernel=GaussianKernel(s.lengthscale),
+                                  eigenpair=s.eigenpair)
+        pts = residual_test_points(s.domain)
+        peak = tracemalloc_peak(pde_residual, sol, s.system, pts)
+        assert peak < 2 << 20
+
+
+class TestEvaluationInputs:
+    """pde_residual and eval_h name the shape or value of bad points."""
+
+    def test_empty_test_points(self, quadratic_solution, quadratic_setup):
+        sol, _, _ = quadratic_solution
+        with pytest.raises(ValueError, match="test_points is empty"):
+            pde_residual(sol, quadratic_setup.system, np.empty((0, 1)))
+
+    def test_wrong_width(self, quadratic_solution, quadratic_setup):
+        sol, _, _ = quadratic_solution
+        pts = np.zeros((5, 2))
+        with pytest.raises(ValueError, match=r"1 coordinates each, got shape \(5, 2\)"):
+            pde_residual(sol, quadratic_setup.system, pts)
+        with pytest.raises(ValueError, match=r"1 coordinates each, got shape \(5, 2\)"):
+            sol.eval_h(pts)
+        _, sol2 = _model_solution("linear2d")
+        with pytest.raises(ValueError, match=r"2 coordinates each, got shape \(3,\)"):
+            sol2.eval_phi(np.zeros(3))
+
+    def test_non_finite_point(self, quadratic_solution, quadratic_setup):
+        sol, _, _ = quadratic_solution
+        pts = np.linspace(-1.0, 1.0, 6)[:, None]
+        pts[3, 0] = np.nan
+        with pytest.raises(ValueError, match=r"test point 3 is not finite: \[nan\]"):
+            pde_residual(sol, quadratic_setup.system, pts)
+
+
 class TestFiniteDifferenceOracle:
-    def test_quadratic_matches_fd_dirichlet_solve(self):
-        # the paper's lambda = -1 problem with sigma = 2; collocation poses no
-        # boundary condition, so the oracle takes h_colloc at both ends, and
-        # gamma = 1e-8 keeps the ridge's residual below the oracle's O(dx^2)
+    """The paper's lambda = -1 problem, quadratic with sigma = 2."""
+
+    @staticmethod
+    def _solve(gamma):
         s = get_model("quadratic", sigma=2.0)
-        sol, _, _ = solve_system(s.system, s.decomp, s.eigenpair,
-                                 GaussianKernel(s.lengthscale),
-                                 make_grid(s.domain, s.grid_spec), 1e-8)
+        sol, asys, _ = solve_system(s.system, s.decomp, s.eigenpair,
+                                    GaussianKernel(s.lengthscale),
+                                    make_grid(s.domain, s.grid_spec), gamma)
+        return s, sol, asys
+
+    @staticmethod
+    def _oracle_gap(s, sol):
+        """max |h_colloc - h_fd| over the oracle's 1000 cells; collocation
+        poses no boundary condition, so the oracle takes h_colloc at both ends."""
         (lo,), (hi,) = s.domain.lower, s.domain.upper
         w = s.eigenpair.left_eigenvector
         x, h = fd_dirichlet_1d(lambda x: s.system.drift_at(x[:, None])[:, 0],
@@ -405,7 +528,29 @@ class TestFiniteDifferenceOracle:
                                lambda x: s.decomp.nonlinear_at(x[:, None]) @ w,
                                s.eigenpair.eigenvalue, lo, hi,
                                sol.eval_h(np.array([[lo], [hi]])), 1000)
-        assert np.max(np.abs(sol.eval_h(x[:, None]) - h)) < 1e-6
+        return np.max(np.abs(sol.eval_h(x[:, None]) - h))
+
+    def test_quadratic_matches_fd_dirichlet_solve(self):
+        # gamma = 1e-8 keeps the ridge's residual below the oracle's O(dx^2)
+        s, sol, _ = self._solve(1e-8)
+        assert self._oracle_gap(s, sol) < 1e-6
+
+    def test_ridge_at_benchmark_gamma(self):
+        # gamma = 1e-4, the models' default: the ridge solves the nodal
+        # equations up to exactly gamma * alpha_i (measured: the remainder is
+        # 8.5e-15), moves h by 0.117 on the box (h(0): -0.5729 -> -0.5316) and
+        # leaves the gap to the oracle at 2.5e-6
+        _, ref, _ = self._solve(1e-8)
+        s, sol, asys = self._solve(1e-4)
+        alpha = sol.coefficients
+        nodal = ((asys.drift_mat + asys.diff_mat - s.eigenpair.eigenvalue * asys.gram) @ alpha
+                 + asys.source)
+        assert np.max(np.abs(nodal + 1e-4 * alpha)) < 1e-12
+        assert np.max(np.abs(nodal)) > 1e-4  # gamma * max|alpha| is 2.9e-4
+        xs = np.linspace(-1.2, 1.2, 1001)[:, None]
+        shift = np.max(np.abs(sol.eval_h(xs) - ref.eval_h(xs)))
+        assert 0.10 < shift < 0.135
+        assert self._oracle_gap(s, sol) < 1e-5
 
 
 class TestSerialization:
@@ -530,17 +675,11 @@ class TestBlockedWriter:
         a = np.empty(shape)
         assert "".join(_json_array_chunks(a)) == json.dumps(a.tolist())
 
-    def test_memory_is_one_block(self):
+    def test_memory_is_one_block(self, tracemalloc_peak):
         # a whole-array pass held a sort, an inverse index and one string per
         # distinct value: about 79 MB for this 5.1 MB array, 12 MB in blocks
         a = np.random.default_rng(0).standard_normal((800, 800))
-        tracemalloc.start()
-        try:
-            for _ in _json_array_chunks(a):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = tracemalloc_peak(lambda: sum(1 for _ in _json_array_chunks(a)))
         assert peak < 4 * a.nbytes
 
 
@@ -596,18 +735,13 @@ class TestBlockedAssembly:
         for mat, want in zip(got, expected):
             assert np.array_equal(mat.view(np.uint64), want.view(np.uint64))
 
-    def test_memory_is_four_matrices_and_one_block(self, linear2d_setup):
+    def test_memory_is_four_matrices_and_one_block(self, linear2d_setup, tracemalloc_peak):
         # the whole-matrix formula also held the (N, N, 2) difference tensor
         # and whole-matrix temporaries: 52 MB here, against 28 MB in blocks
         s = linear2d_setup
         grid = make_grid(s.domain, GridSpec("tensor", 30))
         kern = GaussianKernel(s.lengthscale)
-        tracemalloc.start()
-        try:
-            assemble(s.system, s.decomp, s.eigenpair, kern, grid, s.gamma)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = tracemalloc_peak(assemble, s.system, s.decomp, s.eigenpair, kern, grid, s.gamma)
         n = grid.n_points
         # K, L, D and M, plus half a matrix for one block's temporaries and
         # the N x N bool masks of the finiteness check

@@ -9,6 +9,7 @@ from sdekoopman import (Domain, EigenPair, FkConfig, GaussianKernel,
                         run_experiment, semigroup_check, semigroup_curve,
                         solve_system)
 from sdekoopman.cli import _report_csv
+from sdekoopman.collocation import GridSpec, save_solution
 from sdekoopman.models import SdeSystem, linearize
 from sdekoopman.registry import constant_diffusion, get_model
 from sdekoopman.validation import (ExperimentReport, boundary_points,
@@ -210,6 +211,26 @@ class TestRunExperiment:
         bad = replace(r, condition_number=1e12)
         checks = dict((label, ok) for label, ok, _ in check_acceptance("test1_ou", bad))
         assert not checks["condition number within x3 of 9.91e5"]
+
+
+class TestSolveMemory:
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_peak_is_four_matrices_and_the_writer(self, tmp_path, tracemalloc_peak, n):
+        # solve with every metric on while solution.json is written holds K,
+        # L, D and M (32 N^2 B), the writer's own peak, and blocks: 4 MiB
+        # covers them and the metrics' vectors.  numpy's linalg takes the
+        # LU's and the SVD's copies of M with malloc, so they are not traced.
+        # At n = 30 (N = 900) the bound is 39.5 MB: the whole-matrix residual
+        # peaked at 48.7-51.6 MB, the blocked one at 36.0-36.4 MB
+        setup = replace(get_model("linear2d"), grid_spec=GridSpec("tensor", n))
+        path = tmp_path / "solution.json"
+        sol, asys, _ = solve_and_report(setup, 0, metrics=())
+        writer = tracemalloc_peak(save_solution, path, sol, asys)
+        del sol, asys
+        peak = tracemalloc_peak(solve_and_report, setup, 0,
+                                write=lambda sol, asys: save_solution(path, sol, asys))
+        N = n * n
+        assert peak < 32 * N * N + writer + (4 << 20)
 
 
 class TestReportOutput:
