@@ -16,9 +16,11 @@ Exit codes: 0 ok, 1 benchmark band failed (reproduce), 2 config/input error
 ``SdeKoopmanError`` or ``LinAlgError``); a file or directory that cannot be
 read or written also exits 2.  ``main`` maps exception types to codes in one
 place.  Identical invocations (same seed) produce byte-identical output
-files.  ``--threads`` is the number of worker processes ``fk`` forks for its
-path simulation (default: the CPUs this process may use; small batches run
-serially) and never changes results.
+files.  ``--threads`` is the number of processes (default: the CPUs this
+process may use) over which ``fk`` deals its queries (small batches run
+serially), ``reproduce`` its experiments and ``sweep`` its noise levels,
+round-robin in order, forking a worker for each group after the first; it
+never changes results.
 
 BLAS pools are pinned to one thread for bitwise stability, once, at the top
 of this module: the package ``__init__`` loads its modules lazily, so this
@@ -45,7 +47,7 @@ import numpy as np  # noqa: E402
 # module objects, called through their attributes, so a patched attribute
 # (a test's stand-in, a benchmark's timing wrapper) is the one the CLI calls
 from . import (collocation, config, errors, feynman_kac, kernels, models,  # noqa: E402
-               registry, validation)
+               registry, validation, workers)
 
 EXIT_OK = 0
 EXIT_BAND_FAILURE = 1
@@ -83,7 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (default: config output_dir or '.')")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker processes for fk's path simulation (default: "
+                       help="processes over which fk deals its queries, reproduce "
+                            "its experiments and sweep its noise levels (default: "
                             "the CPUs this process may use); never changes results")
         return p
 
@@ -272,9 +275,10 @@ def cmd_fk(args) -> int:
 def cmd_reproduce(args) -> int:
     out = _outdir(args)  # before the runs, which a bad --out would waste
     names = [n for n in validation.EXPERIMENTS if args.which in ("all", n.split("_")[0])]
+    results = workers.map_in_workers(
+        lambda name: validation.run_experiment(name, seed=args.seed), names, args.threads)
     reports, all_checks = [], []
-    for name in names:
-        result = validation.run_experiment(name, seed=args.seed)
+    for name, result in zip(names, results):
         reports.extend(result if isinstance(result, list) else [result])
         all_checks.extend((name, *c) for c in validation.check_acceptance(name, result))
 
@@ -325,7 +329,12 @@ def cmd_sweep(args) -> int:
     if not sigmas:
         raise errors.ConfigError("--sigmas must contain at least one value")
 
-    rows = validation.conditioning_sweep(sigmas, fk=fk, seed=seed)
+    # a row's cost is mostly its semigroup check: below the path-step bound
+    # at which fk_batch forks, a fork costs more than the rows it would run
+    steps = len(sigmas) * validation.semigroup_path_steps(fk)
+    threads = args.threads if steps >= feynman_kac._FORK_MIN_PATH_STEPS else 1
+    rows = workers.map_in_workers(
+        lambda sigma: validation.sweep_row(sigma, fk=fk, seed=seed), sorted(sigmas), threads)
     out = _outdir(args, cfg)
     _write(os.path.join(out, "sweep.csv"), _report_csv(rows))
     print(validation.format_table(rows))

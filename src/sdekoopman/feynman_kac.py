@@ -32,9 +32,6 @@ unreliable (``all_capped``).
 
 from __future__ import annotations
 
-import os
-import pickle
-import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -45,6 +42,7 @@ from .collocation import CollocationGrid, CollocationSolution
 from .errors import EvaluationError, SingularSystemError
 from .kernels import GaussianKernel
 from .models import Domain, EigenPair, LinearDecomposition, SdeSystem, is_int
+from .workers import fork_count, in_workers as _in_workers, worker_count
 
 Array = np.ndarray
 
@@ -355,89 +353,6 @@ _FORK_MIN_PATH_STEPS = 1_000_000
 _FORK_MIN_ROWS = 2_000
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _worker_main(task, group, worker: int, fd: int) -> None:
-    """Body of a forked worker: send ``(True, task(group))``, or ``(False,
-    exc)`` for the exception it raised, pickled over the pipe ``fd``; then
-    leave through ``os._exit``, so no cleanup of the parent's runs here."""
-    code = 1
-    try:
-        try:
-            data = pickle.dumps((True, task(group)), pickle.HIGHEST_PROTOCOL)
-        except BaseException as exc:  # interrupts too: the parent re-raises it
-            try:
-                data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
-                pickle.loads(data)  # the exception must rebuild in the parent
-            except Exception:
-                data = pickle.dumps((False, EvaluationError(
-                    f"fk_batch worker {worker} raised {type(exc).__name__}: {exc}")))
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _receive(worker: int, fd: int):
-    """The result a worker sent over ``fd``, read to end of file; a worker's
-    exception is raised here."""
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    try:
-        ok, value = pickle.loads(b"".join(chunks))
-    except Exception:
-        raise EvaluationError(f"fk_batch worker {worker} exited without a result") from None
-    if not ok:
-        raise value
-    return value
-
-
-def _in_workers(task, groups) -> list:
-    """``[task(g) for g in groups]``, each group after the first run by a
-    forked child that sends its result back over a pipe.
-
-    Every child is reaped before this returns or raises, and is killed
-    first when the parent's own group fails or the parent is interrupted.
-    """
-    children = []
-    finished = False
-    try:
-        for worker, group in enumerate(groups[1:], start=1):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                _worker_main(task, group, worker, write_fd)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        results = [task(groups[0])]
-        for worker, (_, read_fd) in enumerate(children, start=1):
-            results.append(_receive(worker, read_fd))
-        finished = True
-        return results
-    finally:
-        if not finished:
-            import signal  # 0.6 ms to import; only a failed batch needs it
-        for pid, read_fd in children:
-            os.close(read_fd)
-            if not finished:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
              domain: Domain, query_points, cfg: FkConfig,
              workers: Optional[int] = None) -> list[FkEstimate]:
@@ -452,18 +367,15 @@ def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     ceil(_FORK_MIN_ROWS / n_paths))`` groups (``workers=None``: the CPUs
     this process may use), the most for which each worker steps at least
     ``_FORK_MIN_ROWS`` path rows at a time.  Each group after the first runs
-    in a forked worker process, and an exception raised there is raised
-    here.  The batch runs in this process alone when there is one group,
-    when ``os.fork`` is missing, when other threads are running (a fork
-    would copy their locks), or when ``n_valid * n_paths * n_steps`` is
-    below ``_FORK_MIN_PATH_STEPS``.  Results do not depend on evaluation
-    order, on how the queries are grouped into blocks, or on the number of
-    workers.
+    in a forked worker process (in this one when the fork fails), and an
+    exception raised there is raised here.  The batch runs in this process
+    alone when there is one group, when ``os.fork`` is missing, when other
+    threads are running (a fork would copy their locks), or when ``n_valid
+    * n_paths * n_steps`` is below ``_FORK_MIN_PATH_STEPS``.  Results do not
+    depend on evaluation order, on how the queries are grouped into blocks,
+    or on the number of workers.
     """
-    if workers is None:
-        workers = _cpu_count()
-    elif not is_int(workers) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    workers = worker_count(workers)
     pts = np.atleast_2d(np.asarray(query_points, dtype=float))
     out = [None] * len(pts)
     valid = []
@@ -483,14 +395,12 @@ def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
         return ests
 
     per_worker = max(1, -(-_FORK_MIN_ROWS // cfg.n_paths))  # fewest queries a worker takes
-    n_workers = min(workers, len(valid) // per_worker)
     bound = len(valid) * cfg.n_paths * _n_steps(_horizon(eigenpair.eigenvalue, cfg)[0],
                                                 cfg.dt)
-    if (n_workers > 1 and hasattr(os, "fork") and threading.active_count() == 1
-            and bound >= _FORK_MIN_PATH_STEPS):
-        groups = [valid[k::n_workers] for k in range(n_workers)]
-    else:
-        groups = [valid]
+    n_workers = 1
+    if bound >= _FORK_MIN_PATH_STEPS:
+        n_workers = fork_count(min(workers, len(valid) // per_worker))
+    groups = [valid[k::n_workers] for k in range(n_workers)]
     for ids, ests in zip(groups, _in_workers(run, groups)):
         for i, est in zip(ids, ests):
             out[i] = est

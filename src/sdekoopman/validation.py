@@ -54,6 +54,13 @@ SEMIGROUP_T = 0.5
 SEMIGROUP_PATHS = 20_000
 
 
+def semigroup_path_steps(fk: Optional[FkConfig] = None) -> float:
+    """Euler-Maruyama path steps of the semigroup check that
+    :func:`solve_and_report` runs with ``fk``."""
+    cfg = fk or FkConfig(n_paths=SEMIGROUP_PATHS)
+    return cfg.n_paths * SEMIGROUP_T / cfg.dt
+
+
 @dataclass(frozen=True)
 class SemigroupResult:
     relative_error: float
@@ -230,22 +237,25 @@ def solve_and_report(setup: ModelSetup, seed: int, fk: Optional[FkConfig] = None
     return sol, asys, result
 
 
+def sweep_row(sigma: float, fk: Optional[FkConfig] = None,
+              seed: Optional[int] = None) -> ExperimentReport:
+    """Full pipeline for the quadratic model at one noise level ``sigma``:
+    one row of :func:`conditioning_sweep`."""
+    if sigma < 0:
+        raise ValueError("sigma values must be nonnegative")
+    seed = EXPERIMENTS["test2_quadratic"][1] if seed is None else seed
+    return solve_and_report(get_model("quadratic", sigma=sigma), seed, fk=fk,
+                            label=f"quadratic sigma={sigma:g}")[2]
+
+
 def conditioning_sweep(sigmas, fk: Optional[FkConfig] = None,
                        seed: Optional[int] = None) -> list[ExperimentReport]:
-    """Full pipeline for the quadratic model across noise levels.
+    """:func:`sweep_row` across noise levels, in this process.
 
     Rows are sorted by sigma; condition numbers are expected to decrease as
     the diffusion strengthens the negative diagonal of the system matrix.
     """
-    rows = []
-    seed = EXPERIMENTS["test2_quadratic"][1] if seed is None else seed
-    for s in sorted(float(s) for s in sigmas):
-        if s < 0:
-            raise ValueError("sigma values must be nonnegative")
-        setup = get_model("quadratic", sigma=s)
-        rows.append(solve_and_report(setup, seed, fk=fk,
-                                     label=f"quadratic sigma={s:g}")[2])
-    return rows
+    return [sweep_row(s, fk=fk, seed=seed) for s in sorted(float(s) for s in sigmas)]
 
 
 def run_experiment(name: str, seed: Optional[int] = None,

@@ -1,0 +1,175 @@
+"""Forked worker processes that run groups of independent items.
+
+:func:`in_workers` runs each group after the first in a child made with
+``os.fork``, which sends its values back pickled over a pipe, and the first
+group in the calling process.  :func:`map_in_workers` deals a list of items
+to such groups round-robin.  ``fk_batch`` deals its queries this way, the
+``reproduce`` and ``sweep`` commands their experiments and noise levels.
+``multiprocessing`` is not used: the model callables are closures, which do
+not pickle, and it starts helper threads.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import threading
+from typing import Optional
+
+from .errors import EvaluationError
+from .models import is_int
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def worker_count(workers: Optional[int]) -> int:
+    """``workers`` checked, or the CPUs this process may use for None."""
+    if workers is None:
+        return _cpu_count()
+    if not is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    return workers
+
+
+def fork_count(wanted: int) -> int:
+    """``wanted`` worker processes, or 1 when this process cannot fork: the
+    platform has no ``os.fork``, or other threads are running (a fork would
+    copy their locks)."""
+    if wanted > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        return wanted
+    return 1
+
+
+def _run_group(task, group):
+    """``(values, None)`` for the values ``task(group)`` yields, or ``(values
+    so far, exc)`` when it raises ``exc``; a task that yields one value per
+    item thereby names its first failing item by ``len(values)``."""
+    values = []
+    try:
+        for value in task(group):
+            values.append(value)
+    except Exception as exc:
+        return values, exc
+    return values, None
+
+
+def _worker_main(task, group, worker: int, fd: int) -> None:
+    """Body of a forked worker: send ``_run_group(task, group)`` pickled over
+    the pipe ``fd``, with an exception that would not rebuild in the parent
+    replaced by an ``EvaluationError`` naming it; then leave through
+    ``os._exit``, so no cleanup of the parent's runs here."""
+    code = 1
+    try:
+        try:
+            values, exc = _run_group(task, group)
+        except BaseException as interrupt:  # the parent re-raises it
+            values, exc = [], interrupt
+        if exc is not None:
+            try:
+                pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+            except Exception:
+                exc = EvaluationError(f"worker {worker} raised {type(exc).__name__}: {exc}")
+        view = memoryview(pickle.dumps((values, exc), pickle.HIGHEST_PROTOCOL))
+        while view:
+            view = view[os.write(fd, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _fork_worker(task, group, worker: int):
+    """Fork a child that runs ``group`` through :func:`_worker_main`; returns
+    its pid and the read end of its pipe.  ``OSError`` when no pipe or
+    process can be made."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _worker_main(task, group, worker, write_fd)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _receive(worker: int, fd: int):
+    """The ``(values, exc)`` a worker sent over ``fd``, read to end of file."""
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    try:
+        return pickle.loads(b"".join(chunks))
+    except Exception:
+        raise EvaluationError(f"worker {worker} exited without a result") from None
+
+
+def in_workers(task, groups) -> list:
+    """``[list(task(g)) for g in groups]``, each group after the first run by
+    a forked child that sends its values back over a pipe.
+
+    When a pipe or a fork fails (``OSError``, e.g. no process to spare),
+    that group and the rest run in this process instead.  Each group runs
+    to its end or its first exception.  Of the groups that raised, the one
+    whose task had yielded the fewest values (the first of those on a tie)
+    has its exception raised here: for items dealt round-robin, a value
+    yielded per item, that is the first failing item in item order.  Every
+    child is reaped before this returns or raises, and is killed first when
+    the first group fails before yielding, when this process is interrupted
+    or when a child sends no result.
+    """
+    children = []
+    finished = False
+    try:
+        for worker, group in enumerate(groups[1:], start=1):
+            try:
+                children.append(_fork_worker(task, group, worker))
+            except OSError:
+                break
+        values, exc = _run_group(task, groups[0])
+        if exc is not None and not values:
+            raise exc  # no failure can come before it: the workers are killed
+        own = [(values, exc), *(_run_group(task, g) for g in groups[1 + len(children):])]
+        outcomes = [own[0], *(_receive(worker, read_fd)
+                              for worker, (_, read_fd) in enumerate(children, start=1)),
+                    *own[1:]]
+        finished = True
+    finally:
+        if not finished:
+            import signal  # 0.6 ms to import; only a failed run needs it
+        for pid, read_fd in children:
+            os.close(read_fd)
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = [(len(values), g, exc) for g, (values, exc) in enumerate(outcomes)
+              if exc is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[:2])[2]
+    return [values for values, _ in outcomes]
+
+
+def map_in_workers(fn, items, workers: Optional[int] = None) -> list:
+    """``[fn(x) for x in items]``, spread over forked worker processes.
+
+    The items are dealt round-robin to ``min(workers, len(items))`` groups
+    (``workers=None``: the CPUs this process may use); this process runs
+    the first group and a forked worker each other one, which sends its
+    results back pickled.  A group stops at its first item that raises,
+    and the exception of the first failing item in item order is raised
+    here, as a serial run raises it.  Everything runs in this process when
+    there is one group or it cannot fork (no ``os.fork``, or other threads
+    running).  ``fn`` must not depend on which process runs it.
+    """
+    items = list(items)
+    n = fork_count(min(worker_count(workers), len(items)))
+    groups = [items[k::n] for k in range(n)]
+    results = in_workers(lambda group: map(fn, group), groups)
+    return [results[i % n][i // n] for i in range(len(items))]

@@ -1,3 +1,5 @@
+import errno
+import os
 import tracemalloc
 
 import numpy as np
@@ -62,6 +64,42 @@ def tracemalloc_peak():
         finally:
             tracemalloc.stop()
     return peak
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids ``os.fork`` returns to this process during the test; checks
+    afterwards that every child was reaped."""
+    parent, forked = os.getpid(), []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    yield forked
+    assert os.getpid() == parent
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def second_fork_fails(monkeypatch, forks):
+    """``os.fork`` raises ``OSError`` (EAGAIN) on its second call, as when no
+    process is left to spare; yields the pids forked, as ``forks`` does."""
+    fork, calls = os.fork, []
+
+    def failing_fork():
+        calls.append(None)
+        if len(calls) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    return forks
 
 
 def rng(seed=0):

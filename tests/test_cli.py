@@ -1,9 +1,12 @@
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
+import sdekoopman.validation as validation
+from sdekoopman import errors
 from sdekoopman.cli import main
 
 
@@ -399,6 +402,84 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, {"model": "ou"})
         assert main(["sweep", "--config", cfg, "--sigmas", "0,0.3"]) == 2
         assert "quadratic" in capsys.readouterr().err
+
+
+def run_main(capsys, *argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestWorkerProcesses:
+    """reproduce deals its experiments and sweep its noise levels round-robin
+    to --threads processes, forking a worker for each group after the first."""
+
+    @pytest.mark.parametrize("argv, written", [
+        (["reproduce", "all"], "summary.csv"),
+        (["sweep", "--sigmas", "0.5,0,0.3"], "sweep.csv")])
+    def test_outputs_identical_across_threads(self, forks, tmp_path, capsys, argv, written):
+        runs = []
+        for threads in (1, 2, 3):
+            before = len(forks)
+            code, out, err = run_main(capsys, *argv, "--out", str(tmp_path),
+                                      "--threads", str(threads))
+            runs.append((code, out, err, read(tmp_path / written)))
+            assert len(forks) - before == threads - 1  # three items each
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_one_experiment_runs_here(self, forks, tmp_path):
+        assert main(["reproduce", "test1", "--out", str(tmp_path), "--threads", "2"]) == 0
+        assert forks == []
+
+    @pytest.mark.parametrize("n_paths, forked", [(9_999, 0), (10_000, 1)])
+    def test_light_sweep_runs_here(self, forks, tmp_path, n_paths, forked):
+        # two rows of n_paths x 50 semigroup steps fork from 1e6 path steps on
+        cfg = write_config(tmp_path, {"model": "quadratic",
+                                      "fk": {"n_paths": n_paths, "t_max": 1.0}})
+        assert main(["sweep", "--config", cfg, "--sigmas", "0,0.3", "--out", str(tmp_path),
+                     "--threads", "2"]) == 0
+        assert len(forks) == forked
+
+    def test_first_failing_experiment_is_reported(self, forks, monkeypatch, tmp_path, capsys):
+        # at --threads 2 this process runs test1 and test3 and a worker test2;
+        # the worker's failure comes first in experiment order
+        run = validation.run_experiment
+
+        def failing(name, **kwargs):
+            if name != "test1_ou":
+                raise errors.EvaluationError(f"{name} refused")
+            return run(name, **kwargs)
+
+        monkeypatch.setattr(validation, "run_experiment", failing)
+        runs = [run_main(capsys, "reproduce", "all", "--out", str(tmp_path),
+                         "--threads", threads) for threads in ("1", "2", "3")]
+        assert runs[0] == (3, "", "error [reproduce]: test2_quadratic refused\n")
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert len(forks) == 1 + 2
+
+    def test_nothing_forks_while_another_thread_runs(self, forks, tmp_path, capsys):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:  # a fork would copy the other thread's locks
+            assert main(["reproduce", "all", "--out", str(tmp_path), "--threads", "2"]) == 0
+        finally:
+            release.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert forks == []
+
+    def test_failed_fork_runs_the_rest_here(self, second_fork_fails, tmp_path, capsys):
+        # worker 1 forks and runs test2; the fork for test3 fails, so test3
+        # runs in this process after test1
+        runs = []
+        for threads in ("1", "3"):
+            runs.append((run_main(capsys, "reproduce", "all", "--out", str(tmp_path),
+                                  "--threads", threads), read(tmp_path / "summary.csv")))
+        assert runs[0][0][0] == 0 and runs[1] == runs[0]
+        assert len(second_fork_fails) == 1
 
 
 class TestExitCodes:

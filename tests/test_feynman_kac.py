@@ -1,6 +1,7 @@
 import json
 import os
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from sdekoopman import (CollocationGrid, Domain, EigenPair, FkConfig,
 from sdekoopman.cli import _fk_estimates_csv
 from sdekoopman.errors import EvaluationError
 from sdekoopman.feynman_kac import _NormalStream, counter_normals, horizon_steps
+from sdekoopman.workers import map_in_workers
 from sdekoopman.models import SdeSystem, linearize
 from sdekoopman.registry import constant_diffusion
 
@@ -499,25 +501,12 @@ class TestCsv:
 
 
 @pytest.fixture
-def forced_fork(monkeypatch):
+def forced_fork(monkeypatch, forks):
     """Fork workers for any batch size; yields the pids forked, and checks
     afterwards that every child was reaped."""
     monkeypatch.setattr(feynman_kac, "_FORK_MIN_PATH_STEPS", 0)
     monkeypatch.setattr(feynman_kac, "_FORK_MIN_ROWS", 0)
-    parent, forked = os.getpid(), []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    yield forked
-    assert os.getpid() == parent
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return forks
 
 
 def refusing_drift(limit):
@@ -656,6 +645,46 @@ class TestForkedWorkers:
         fk_batch(*problem, [[-0.5], [0.5]], FkConfig(dt=0.01, n_paths=100, t_max=50.0),
                  workers=2)
         assert groups == [[5, 4], [3, 2, 2, 2], [2]]
+
+    def test_failed_fork_runs_the_rest_here(self, forced_fork, second_fork_fails):
+        # four groups: worker 1 forks, the fork of worker 2 fails, so this
+        # process runs groups 0, 2 and 3
+        problem, pts, cfg, expected = pinned_cases()["mixed"]
+        assert [repr(e) for e in fk_batch(*problem, pts, cfg, workers=4)] == expected
+        assert len(forced_fork) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7, 9])
+    def test_map_keeps_item_order(self, forks, workers):
+        assert map_in_workers(lambda x: x * x, range(7), workers) == [x * x for x in range(7)]
+        assert len(forks) == min(workers, 7) - 1
+        assert map_in_workers(len, [], workers) == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_map_raises_the_first_failing_item(self, forks, workers):
+        # items 3 and 4 fail; at 2 workers this process fails at item 4, its
+        # third, after the worker failed at item 3, its second
+        def square(x):
+            if x in (3, 4):
+                raise RuntimeError(f"item {x} refused")
+            return x * x
+
+        with pytest.raises(RuntimeError, match="^item 3 refused$"):
+            map_in_workers(square, range(6), workers)
+        assert len(forks) == workers - 1
+
+    def test_first_item_failing_kills_the_workers(self, forks):
+        # no failure can come before item 0's, so the worker that sleeps on
+        # item 1 is killed, not awaited
+        def item(x):
+            if x == 0:
+                raise RuntimeError("item 0 refused")
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="^item 0 refused$"):
+            map_in_workers(item, [0, 1], 2)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("workers", [0, -1, 1.5, True])
     def test_workers_validated(self, workers):
