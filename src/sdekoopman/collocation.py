@@ -14,6 +14,7 @@ the reported condition number is the 2-norm value of the regularized matrix.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -398,56 +399,61 @@ def solution_from_json_dict(doc: dict) -> CollocationSolution:
 
 
 # Entries of an array that the writer spells at once, in whole leading-axis
-# rows (81 rows of a 1600-column matrix, all of a 225 x 225 one); each block
-# spells its own distinct values, so memory stays O(block).  On the
-# N = 1600 linear2d matrices, blocks of 2**16 to 2**18 entries wrote gram and
-# diffusion in a median 0.32-0.40 s each, 2**15-entry blocks in 0.45-0.52 s.
-_JSON_BLOCK = 1 << 17
-# Share of distinct values above which a finite block is written directly:
-# spelling each distinct value once then costs more than spelling every
-# entry (random 64 x 1600 blocks broke even at about 0.7 distinct).
-_JSON_DISTINCT = 0.75
+# rows (20 rows of a 1600-column matrix, 145 of a 225 x 225 one), so memory
+# stays O(block).  On solve at N = 1600 (linear2d, 2 vCPUs), 2**14- and
+# 2**15-entry blocks peaked at 146.2 MB, 2**16 at 147.9 MB and 2**17 at
+# 152.5 MB, with run_s within the run-to-run spread.
+_JSON_BLOCK = 1 << 15
 
 
-def _json_items(blk: Array) -> str:
+def _small_repr(m) -> bytes:
+    """``d.xxe-05`` for orjson's ``0.0000dxx``, unless the match is the tail
+    of a larger number's digits."""
+    start = m.start()
+    if start and m.string[start - 1] in b"0123456789.":
+        return m.group(0)
+    digits = m.group(2)
+    return m.group(1) + (b"." + digits if digits else b"") + b"e-05"
+
+
+def _json_items(blk: Array) -> bytes:
     """The items of ``json.dumps(blk.tolist())``, without the outer brackets.
 
-    A finite block of mostly distinct values is ``repr`` of its nested
-    lists, the text ``json.dumps`` writes for finite floats.  Otherwise each
-    distinct float64 bit pattern (so -0.0 stays apart from 0.0) is spelled
-    once, as ``json.dumps`` spells it: ``float.__repr__`` for finite values,
-    ``NaN``/``Infinity``/``-Infinity`` otherwise.
+    A finite block is printed by orjson, whose shortest round-trip digits are
+    those of ``float.__repr__``, and respelled where the two differ; a block
+    with a non-finite value (``NaN``, ``Infinity``) is ``json.dumps``'s own.
     """
-    bits, inverse = np.unique(blk.view(np.uint64).ravel(), return_inverse=True)
-    values = bits.view(np.float64)
-    finite = np.isfinite(values)
-    if bits.size > _JSON_DISTINCT * blk.size and finite.all():
-        return repr(blk.tolist())[1:-1]
-    text = list(map(float.__repr__, values.tolist()))
-    for i in np.flatnonzero(~finite):
-        text[i] = json.dumps(float(values[i]))
-    text = np.array(text, dtype=object)[inverse.reshape(blk.shape)]
+    if not np.isfinite(blk).all():
+        return json.dumps(blk.tolist())[1:-1].encode("ascii")
+    import orjson  # only the writer needs it; keeps it out of every command's import
 
-    def items(t):
-        return ", ".join(t.tolist() if t.ndim == 1 else ("[" + items(r) + "]" for r in t))
-
-    return items(text)
+    # orjson spells 1e-5 <= |v| < 1e-4 positionally ("0.0000d..." for
+    # "d...e-05") and writes exponents without "+" or zero padding ("1e16",
+    # "1e-6" for "1e+16", "1e-06").  The patterns are compiled on first use
+    # (re's cache), not at import: commands that write no solution skip them.
+    text = orjson.dumps(blk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    mag = np.abs(blk)
+    if ((mag >= 1e-5) & (mag < 1e-4)).any():
+        text = re.sub(rb"0\.0000([1-9])(\d*)", _small_repr, text)
+    if b"e" in text:
+        text = re.sub(rb"e-(\d)(?!\d)", rb"e-0\1", re.sub(rb"e(?=\d)", b"e+", text))
+    return text.replace(b",", b", ")
 
 
 def _json_array_chunks(a: Array):
-    """Yield the text ``json.dumps(a.tolist())`` writes, in blocks of whole
+    """Yield the bytes of ``json.dumps(a.tolist())``, in blocks of whole
     leading-axis rows of at most ``_JSON_BLOCK`` entries (see
     :func:`_json_items`).
 
-    Beyond the array it holds one block's sort, index and strings, so the
+    Beyond the array it holds one block's text and its respellings, so the
     N x N matrices of an assembled system are written in O(block) memory.
     """
     a = np.ascontiguousarray(a)
     rows = max(1, _JSON_BLOCK // max(1, a[0].size)) if len(a) else 1
-    yield "["
+    yield b"["
     for i in range(0, len(a), rows):
-        yield (", " if i else "") + _json_items(a[i:i + rows])
-    yield "]"
+        yield (b", " if i else b"") + _json_items(a[i:i + rows])
+    yield b"]"
 
 
 def save_solution(path, sol: CollocationSolution, asys: Optional[AssembledSystem] = None):
@@ -457,14 +463,14 @@ def save_solution(path, sol: CollocationSolution, asys: Optional[AssembledSystem
     :func:`_json_array_chunks`), so no nested lists of a whole array and no
     whole-document string are built.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "wb") as fh:
         for i, (key, value) in enumerate(_solution_fields(sol, asys)):
-            fh.write(("{" if i == 0 else ", ") + json.dumps(key) + ": ")
+            fh.write((("{" if i == 0 else ", ") + json.dumps(key) + ": ").encode())
             if isinstance(value, np.ndarray):
                 fh.writelines(_json_array_chunks(value))
             else:
-                fh.write(json.dumps(value))
-        fh.write("}\n")
+                fh.write(json.dumps(value).encode())
+        fh.write(b"}\n")
 
 
 def load_solution(path) -> CollocationSolution:

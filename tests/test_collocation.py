@@ -637,6 +637,10 @@ def _sol_pair(asys):
     return sol, asys
 
 
+def _chunks_text(a):
+    return b"".join(_json_array_chunks(a)).decode("ascii")
+
+
 class TestBlockedWriter:
     """_json_array_chunks spells each row block on its own, byte for byte as
     ``json.dumps`` spells the whole array."""
@@ -653,34 +657,83 @@ class TestBlockedWriter:
         expected = json.dumps(solution_to_json_dict(sol, asys)) + "\n"
         assert path.read_bytes() == expected.encode("ascii")
         vec = np.linspace(-1.0, 1.0, 5 * grid.n_points + 3)  # 1-d, several blocks
-        assert "".join(_json_array_chunks(vec)) == json.dumps(vec.tolist())
+        assert _chunks_text(vec) == json.dumps(vec.tolist())
 
     def test_non_finite_value_in_a_mostly_distinct_block(self, monkeypatch):
-        # rows 3-5 hold a NaN among distinct values, so that block is spelled
-        # value by value; the other blocks are finite and written directly
+        # rows 3-5 hold a NaN, so that block is json.dumps's own; the other
+        # blocks are finite and printed by orjson
+        import orjson
+
         a = np.random.default_rng(3).standard_normal((9, 11))
         a[4, 3] = np.nan
         a[0, :2] = [-0.0, 0.0]
+        expected = json.dumps(a.tolist())
         monkeypatch.setattr(collocation, "_JSON_BLOCK", 3 * 11)
-        direct = []
-        monkeypatch.setattr(collocation, "repr", lambda v: direct.append(v) or repr(v),
-                            raising=False)
-        text = "".join(_json_array_chunks(a))
-        assert text == json.dumps(a.tolist())
+        printed, dumped = [], []
+        orjson_dumps, json_dumps = orjson.dumps, json.dumps
+        monkeypatch.setattr(orjson, "dumps",
+                            lambda v, **kw: printed.append(v.copy()) or orjson_dumps(v, **kw))
+        monkeypatch.setattr(json, "dumps",
+                            lambda v, **kw: dumped.append(v) or json_dumps(v, **kw))
+        text = _chunks_text(a)
+        monkeypatch.undo()
+        assert text == expected
         assert "NaN" in text and text.startswith("[[-0.0, 0.0, ")
-        assert [np.shape(v) for v in direct] == [(3, 11), (3, 11)]
+        assert len(printed) == 2
+        assert np.array_equal(printed[0], a[:3]) and np.array_equal(printed[1], a[6:])
+        assert len(dumped) == 1
+        assert np.array_equal(dumped[0], a[3:6], equal_nan=True)
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
     def test_empty_arrays(self, shape):
         a = np.empty(shape)
-        assert "".join(_json_array_chunks(a)) == json.dumps(a.tolist())
+        assert _chunks_text(a) == json.dumps(a.tolist())
 
     def test_memory_is_one_block(self, tracemalloc_peak):
-        # a whole-array pass held a sort, an inverse index and one string per
-        # distinct value: about 79 MB for this 5.1 MB array, 12 MB in blocks
+        # one block's text, its respellings and a few block-sized arrays: a
+        # 3.1 MB peak for this 5.1 MB array; the text of the whole array is 13 MB
         a = np.random.default_rng(0).standard_normal((800, 800))
         peak = tracemalloc_peak(lambda: sum(1 for _ in _json_array_chunks(a)))
         assert peak < 4 * a.nbytes
+
+
+def _adversarial_values(rng):
+    """Finite float64 values where orjson's and ``float.__repr__``'s spellings
+    part: random bit patterns, both sides of 1e-5, 1e-4 and 1e16, subnormals,
+    signed zeros and integral floats at or above 1e16."""
+    bits = rng.integers(0, 2**64, size=20000, dtype=np.uint64)
+    random = bits.view(np.float64)
+    edges = np.array([1e-5, 1e-4, 1e16, 1e-6, 1e15, 1e22, 5e-324, 2.2250738585072014e-308])
+    near = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf)])
+    decade = np.concatenate([rng.uniform(1e-5, 1e-4, 2000), np.arange(1, 1000) * 1e-5,
+                             10 + np.arange(1, 1000) * 1e-5, 100 + np.arange(1, 1000) * 1e-5,
+                             np.round(rng.uniform(1e-5, 1e-4, 500), 7)])
+    subnormal = np.concatenate([rng.integers(1, 2**52, 500, dtype=np.uint64).view(np.float64),
+                                [-0.0, 0.0]])
+    integral = np.concatenate([np.arange(1, 500) * 1e16, 2.0**np.arange(53, 1024),
+                               [9007199254740993.0, 1.7976931348623157e308]])
+    v = np.concatenate([random, near, decade, subnormal, integral])
+    v = np.concatenate([v, -v])
+    return rng.permutation(v[np.isfinite(v)])
+
+
+class TestOrjsonSpelling:
+    """The orjson path spells every finite float as ``json.dumps`` does, so an
+    orjson version that prints any of them differently fails here."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_1d_in_ragged_blocks(self, monkeypatch, seed):
+        v = _adversarial_values(np.random.default_rng(seed))
+        monkeypatch.setattr(collocation, "_JSON_BLOCK", 4099)  # ragged last block
+        assert len(v) % 4099
+        assert _chunks_text(v) == json.dumps(v.tolist())
+
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    def test_2d_in_row_blocks(self, monkeypatch, rows):
+        v = _adversarial_values(np.random.default_rng(2))
+        a = v[:len(v) // 13 * 13].reshape(-1, 13)
+        monkeypatch.setattr(collocation, "_JSON_BLOCK", rows * 13)
+        assert _chunks_text(a) == json.dumps(a.tolist())
 
 
 def _one_shot(system, eigenpair, kern, grid, gamma):

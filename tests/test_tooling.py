@@ -58,7 +58,7 @@ def test_scipy_stays_off_the_import_path(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-NO_POOL_IMPORTS = r"""
+CHILD_IMPORTS = r"""
 import ast, importlib, sys
 tree = ast.parse(open("child.py", encoding="utf-8").read())
 names = [alias.name for node in tree.body if isinstance(node, ast.Import)
@@ -67,19 +67,33 @@ names += [node.module for node in tree.body if isinstance(node, ast.ImportFrom)]
 assert "sdekoopman.feynman_kac" in names and "tracing" in names, names
 for name in names:
     importlib.import_module(name)
-loaded = sorted(m for m in sys.modules
-                if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures")
-assert not loaded, loaded
 """
+
+
+def _run_after_child_imports(check):
+    """Run ``check`` after importing the modules bench/child.py imports."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", CHILD_IMPORTS + check], cwd=ROOT / "bench",
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_no_worker_pool_on_the_import_path():
     # fk_batch forks its workers itself; multiprocessing or concurrent.futures
     # loaded by the modules bench/child.py imports would add to every setup
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", NO_POOL_IMPORTS], cwd=ROOT / "bench",
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
+    _run_after_child_imports(r"""
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "multiprocessing" or m == "concurrent.futures")
+assert not loaded, loaded
+""")
+
+
+def test_no_orjson_on_the_import_path():
+    # only the solution writer needs orjson and imports it itself; loaded by
+    # the modules bench/child.py imports it would add to every setup
+    _run_after_child_imports(r"""
+assert "orjson" not in sys.modules
+""")
 
 
 PIN_BEFORE_NUMPY = r"""
