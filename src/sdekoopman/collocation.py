@@ -23,7 +23,7 @@ import numpy as np
 from .errors import AssemblyError, SingularSystemError
 from .kernels import GaussianKernel, _block_rows, first_close_pair
 from .models import (Domain, EigenPair, LinearDecomposition, SdeSystem, is_int,
-                     tensor_points)
+                     small_matmul, tensor_points)
 
 Array = np.ndarray
 
@@ -182,7 +182,7 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
         # those of the whole-matrix sum
         M[blk] = L[blk] + D[blk] - lam * Kb + gamma * np.eye(len(Kb), N, k=i)
 
-    f = decomp.nonlinear_from_drift(X, G) @ eigenpair.left_eigenvector
+    f = small_matmul(decomp.nonlinear_from_drift(X, G), eigenpair.left_eigenvector)
 
     for name, mat in (("gram", K), ("drift", L), ("diffusion", D)):
         bad = ~np.isfinite(mat)
@@ -274,7 +274,8 @@ class CollocationSolution:
     def eval_phi(self, x: Array):
         """Eigenfunction ``phi(x) = w^T (x - x*) + h(x)``; batched."""
         X = _eval_points(x, self.grid.dim)
-        vals = (X - self.equilibrium) @ self.eigenpair.left_eigenvector + self.eval_h(X)
+        w = self.eigenpair.left_eigenvector
+        vals = small_matmul(X - self.equilibrium, w) + self.eval_h(X)
         return float(vals[0]) if np.ndim(x) == 1 else vals
 
 
@@ -329,7 +330,7 @@ def pde_residual(sol: CollocationSolution, system: SdeSystem, test_points) -> Re
     l2 = sol.kernel.lengthscale**2
     nodes = sol.grid.points
     N, d = nodes.shape
-    linear = (X - sol.equilibrium) @ w
+    linear = small_matmul(X - sol.equilibrium, w)
     r = np.empty(X.shape[0])
     for blk, K in _kernel_blocks(sol.kernel, X, nodes, _eval_rows(N * d)):
         diff = X[blk, None, :] - nodes[None, :, :]

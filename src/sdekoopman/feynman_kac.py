@@ -23,6 +23,16 @@ Results are bit-reproducible and independent of evaluation order, of how the
 queries are grouped into blocks, and of the number of worker processes that
 :func:`fk_batch` spreads them over.
 
+A step's small products skip BLAS and einsum.  The source ``w^T F`` and the
+drift split multiply the path rows by a vector or matrix with as few columns
+as the state has; with one column ``@`` would hand BLAS one length-1 dot
+product per row, at about four times the cost of
+:func:`~sdekoopman.models.small_matmul`'s elementwise product.  With one or
+two noise columns the noise ``sigma(X) Z`` sums one or two products per
+entry, which :func:`_noise_sum` writes out column by column instead of
+paying einsum's set-up.  Both round as BLAS and einsum do and add +0.0 where
+those sum into a zeroed accumulator, so every output keeps its bits.
+
 For negative eigenvalues the discount e^{-lambda t} grows without bound, so
 paths are also stopped once it would exceed ``DISCOUNT_GUARD``; such paths
 count as capped and set the ``discount_overflow`` flag.  When every path is
@@ -41,7 +51,8 @@ from numpy.random import Generator, Philox
 from .collocation import CollocationGrid, CollocationSolution
 from .errors import EvaluationError, SingularSystemError
 from .kernels import GaussianKernel
-from .models import Domain, EigenPair, LinearDecomposition, SdeSystem, is_int
+from .models import (Domain, EigenPair, LinearDecomposition, SdeSystem, is_int,
+                     small_matmul)
 from .workers import fork_count, in_workers as _in_workers, worker_count
 
 Array = np.ndarray
@@ -131,7 +142,12 @@ class _NormalStream:
         key = np.array([cfg.seed % 2**64, stream % 2**64], dtype=np.uint64)
         self._bitgen = Philox(key=key)
         self._gen = Generator(self._bitgen)
-        self._fresh = self._bitgen.state  # counter 0, empty output buffer
+        # counter 0 and an empty output buffer, held in lists, which the state
+        # setter reads in about 40% of the time it takes over numpy arrays
+        fresh = self._bitgen.state
+        fresh["state"] = {k: v.tolist() for k, v in fresh["state"].items()}
+        fresh["buffer"] = fresh["buffer"].tolist()
+        self._fresh = fresh
         n = out.shape[0]
         self._half = (n + 1) // 2 if cfg.antithetic else n
         self._out = out
@@ -146,12 +162,40 @@ class _NormalStream:
         return out
 
 
+def _noise_sum(S: Array, Z: Array, out: Array, scratch: Array) -> Array:
+    """The noise ``np.einsum("ndm,nm->nd", S, Z)`` into ``out``, with its bits.
+
+    For m <= 2, column ``i`` is the explicit sum ``(+0.0 + S[:, i, 0] Z[:, 0])
+    + S[:, i, 1] Z[:, 1]``, with ``scratch`` (the shape of ``out``) for the
+    second product.  einsum sums the same products into a zeroed accumulator,
+    and two terms round alike in either order; the ``+ 0.0`` turns a -0.0
+    first product into +0.0 as that accumulator does.  Each column is a flat
+    strided loop: a product over all d columns at once makes numpy buffer
+    its operands when d = 2 (132 KB at 20,000 rows), and runs slower than
+    einsum.  For m >= 3 einsum orders its sum differently, so it is kept.
+    """
+    m = Z.shape[1]
+    if m > 2:
+        return np.einsum("ndm,nm->nd", S, Z, out=out)
+    for i in range(out.shape[1]):
+        col = out[:, i]
+        np.multiply(S[:, i, 0], Z[:, 0], out=col)
+        col += 0.0
+        if m == 2:
+            col += np.multiply(S[:, i, 1], Z[:, 1], out=scratch[:, i])
+    return out
+
+
 def _em_update(X: Array, G: Array, S: Array, Z: Array, dt: float, out: Array,
                noise: Array) -> Array:
     """The Euler-Maruyama update ``X + G dt + sqrt(dt) S Z`` from drift ``G``
     and diffusion factor ``S`` at X, written into ``out`` with ``noise`` (the
-    shape of X) as scratch; it rounds as the expression does, left to right."""
-    np.einsum("ndm,nm->nd", S, Z, out=noise)
+    shape of X) as scratch; it rounds as the expression does, left to right.
+
+    ``S Z`` is :func:`_noise_sum`, the bits of einsum without its set-up,
+    which at a path block's few columns cost more than the products; ``out``
+    is its scratch before it takes the update, so a step allocates nothing."""
+    _noise_sum(S, Z, noise, out)
     noise *= np.sqrt(dt)
     np.multiply(G, dt, out=out)
     out += X
@@ -223,7 +267,7 @@ def _advance(system: SdeSystem, decomp: LinearDecomposition, w: Array, X: Array,
     The drift is evaluated once and split by the decomposition.
     """
     G = system.drift_at(X)
-    return decomp.nonlinear_from_drift(X, G) @ w, _em_update(
+    return small_matmul(decomp.nonlinear_from_drift(X, G), w), _em_update(
         X, G, system.sigma_at(X), Z, dt, np.empty_like(X), np.empty_like(X))
 
 
@@ -253,28 +297,35 @@ def _fk_block(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPa
     vals = np.zeros(n_q * K)
     tau = np.full(n_q * K, np.nan)
     failures = [None] * n_q
+    changed = True  # the live set changed: recompute what depends on it
     for s in range(n_steps):
         if not rows.size:
             break
-        bounds = np.searchsorted(rows, query_starts)
-        counts = np.diff(bounds)
-        for j in np.flatnonzero(counts):
-            normals[j].draw(s)
+        if changed:
+            bounds = np.searchsorted(rows, query_starts)
+            counts = np.diff(bounds)
+            live = [normals[j] for j in np.flatnonzero(counts)]
+            lone = bounds[:-1][counts == 1]
+            parts = None
+            if lone.size and rows.size > 1:
+                # BLAS (a drift may call it, and the products of two or more
+                # columns do) rounds a one-row product differently from the
+                # same row inside a larger one, so a query down to its last
+                # live path is stepped on its own, as a standalone run steps it
+                rest = np.ones(rows.size, dtype=bool)
+                rest[lone] = False
+                parts = [part for part in (np.flatnonzero(rest), *lone[:, None]) if part.size]
+            changed = False
+        for stream in live:
+            stream.draw(s)
         t = s * dt
-        Zl = Z.take(rows, axis=0)
-        lone = bounds[:-1][counts == 1]
-        if lone.size and rows.size > 1:
-            # BLAS rounds a one-row product differently from the same row
-            # inside a larger one, so a query down to its last live path is
-            # stepped on its own, as a standalone run steps it
-            source, Xn = np.empty(rows.size), np.empty_like(X)
-            rest = np.ones(rows.size, dtype=bool)
-            rest[lone] = False
-            for part in (np.flatnonzero(rest), *lone[:, None]):
-                if part.size:
-                    source[part], Xn[part] = _advance(system, decomp, w, X[part], Zl[part], dt)
-        else:
+        Zl = Z if rows.size == len(Z) else Z.take(rows, axis=0)
+        if parts is None:
             source, Xn = _advance(system, decomp, w, X, Zl, dt)
+        else:
+            source, Xn = np.empty(rows.size), np.empty_like(X)
+            for part in parts:
+                source[part], Xn[part] = _advance(system, decomp, w, X[part], Zl[part], dt)
         acc += np.exp(-lam * t) * source * dt
         if not np.all(np.isfinite(Xn)):
             bad = np.flatnonzero(~np.isfinite(Xn).all(axis=1))
@@ -284,15 +335,19 @@ def _fk_block(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPa
                 failures[j] = f"path blew up from state {X[r]} at t={t:.4g}"
                 ok[bounds[j]:bounds[j + 1]] = False
             Xn, rows, acc = Xn[ok], rows[ok], acc[ok]
+            changed = True
         inside = domain.contains(Xn)
         if not inside.all():
-            out = ~inside
-            exited = rows[out]
+            # row indices select faster than a boolean mask, most of all from (n, d)
+            gone = np.flatnonzero(~inside)
+            exited = rows[gone]
             t_next = (s + 1) * dt
             tau[exited] = t_next
-            vals[exited] = acc[out] + np.exp(-lam * t_next) * domain.psi_at(
-                domain.clamp(Xn[out]))
-            Xn, rows, acc = Xn[inside], rows[inside], acc[inside]
+            vals[exited] = acc[gone] + np.exp(-lam * t_next) * domain.psi_at(
+                domain.clamp(Xn[gone]))
+            keep = np.flatnonzero(inside)
+            Xn, rows, acc = Xn.take(keep, axis=0), rows.take(keep), acc.take(keep)
+            changed = True
         X = Xn
     vals[rows] = acc
 

@@ -34,6 +34,25 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def small_matmul(Y: Array, M: Array) -> Array:
+    """``Y @ M`` for states Y, shape ``(n, k)`` or ``(k,)``, and a small matrix
+    ``(k, p)`` or vector ``(k,)`` M, with the bits of ``@``.
+
+    With one column (k = 1), ``@`` hands BLAS one length-1 dot product per
+    row, which costs about four times the elementwise product.  BLAS rounds
+    that dot product once, as the product ``Y * M[0]`` does, and sums it
+    into a zeroed accumulator, which turns a -0.0 product into +0.0; the
+    ``+ 0.0`` here does the same.  With two or more columns ``@`` is kept:
+    BLAS fuses its multiply-adds, which an elementwise sum would not round
+    alike.
+    """
+    if Y.shape[-1] != 1:
+        return Y @ M
+    out = (Y[..., 0] if M.ndim == 1 else Y) * M[0]
+    out += 0.0
+    return out
+
+
 def _as_point(x, dim, name="x"):
     x = np.asarray(x, dtype=float)
     if x.shape != (dim,):
@@ -126,7 +145,7 @@ class LinearDecomposition:
 
     def nonlinear_from_drift(self, X: Array, G: Array) -> Array:
         """``F = G - A (x - x*)`` at states X from the drift values G there."""
-        return G - (X - self.equilibrium) @ self.a_matrix.T
+        return G - small_matmul(X - self.equilibrium, self.a_matrix.T)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .collocation import GridSpec
 from .models import (Domain, EigenPair, LinearDecomposition, SdeSystem,
-                     left_eigenpair, linearize)
+                     left_eigenpair, linearize, small_matmul)
 
 Array = np.ndarray
 
@@ -66,7 +66,7 @@ def make_ou(theta: float = 1.0, sigma: float = 0.5) -> ModelSetup:
     A = np.array([[-theta]])
     system = SdeSystem(
         dim_state=1, dim_noise=1,
-        drift=lambda x: x @ A.T,
+        drift=lambda x: small_matmul(x, A.T),
         diffusion_factor=constant_diffusion(np.array([[sigma]])),
         label="ou",
     )

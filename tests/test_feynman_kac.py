@@ -13,7 +13,8 @@ from sdekoopman import (CollocationGrid, Domain, EigenPair, FkConfig,
                         krr_fit, mc_convergence_probe, simulate_terminal)
 from sdekoopman.cli import _fk_estimates_csv
 from sdekoopman.errors import EvaluationError
-from sdekoopman.feynman_kac import _NormalStream, counter_normals, horizon_steps
+from sdekoopman.feynman_kac import (_NormalStream, _noise_sum, counter_normals,
+                                    horizon_steps)
 from sdekoopman.workers import map_in_workers
 from sdekoopman.models import SdeSystem, linearize
 from sdekoopman.registry import constant_diffusion
@@ -103,6 +104,24 @@ class TestEmStep:
                              diffusion_factor=constant_diffusion(np.array([[0.0]])))
             with pytest.raises(EvaluationError, match="blew up"):
                 em_step(sys1, np.array([1.0]), 10.0, np.zeros(1))
+
+
+class TestNoiseSum:
+    @pytest.mark.parametrize("d, m", [(1, 1), (2, 1), (2, 2), (2, 3)])
+    def test_bits_equal_einsum(self, d, m):
+        rng = np.random.default_rng(10 * d + m)
+        n = 60
+        per_row = rng.standard_normal((n, d, m)) * 10.0 ** rng.integers(-200, 200, (n, d, m))
+        per_row[::4] = 0.0
+        per_row[1::4] *= -1.0
+        normals = rng.standard_normal((n, m))
+        normals[::5] = -normals[::5]
+        for S in (np.broadcast_to(rng.standard_normal((d, m)), (n, d, m)), per_row):
+            for Z in (normals, np.zeros((n, m)), -np.zeros((n, m))):
+                with np.errstate(over="ignore", under="ignore"):
+                    want = np.einsum("ndm,nm->nd", S, Z)
+                    got = _noise_sum(S, Z, np.empty((n, d)), np.empty((n, d)))
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestFkConfig:
@@ -352,6 +371,28 @@ class TestBatchEngine:
                         [[0.1], [0.5], [-0.7]], cfg)
         assert all(e.all_capped for e in ests)
         assert calls == [3 * cfg.n_paths] * 50
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5])
+    def test_sigma_rows_are_the_path_steps(self, monkeypatch, sigma):
+        # the count behind the benchmark's path-step self-check: sigma_at sees
+        # each live path once per step it takes
+        s = get_model("quadratic", sigma=sigma)
+        cfg = FkConfig(dt=0.01, n_paths=64, t_max=2.0, seed=0)
+        rows = []
+        sigma_at = SdeSystem.sigma_at
+        monkeypatch.setattr(SdeSystem, "sigma_at",
+                            lambda self, X: rows.append(len(X)) or sigma_at(self, X))
+        est = fk_estimate(s.system, s.decomp, positive_pair(), s.domain,
+                          np.array([0.5]), cfg)
+        n_steps = 200
+        exited = est.n_paths - est.n_capped
+        if sigma == 0.0:
+            # lambda = +1 and no noise: every path decays inward and is capped
+            assert est.all_capped and sum(rows) == cfg.n_paths * n_steps
+        else:
+            assert 0 < est.n_capped < est.n_paths
+            taken = est.n_capped * n_steps + round(exited * est.mean_exit_time / cfg.dt)
+            assert sum(rows) == taken
 
     def test_blowup_fails_only_its_query(self):
         problem = cubic_blowup()

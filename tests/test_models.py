@@ -7,6 +7,7 @@ from sdekoopman import (Domain, EigenPair, SdeSystem, diffusion_tensor,
                         ellipticity_level, get_model, lambda_threshold,
                         left_eigenpair, linearize)
 from sdekoopman.errors import EigenstructureError, EvaluationError
+from sdekoopman.models import small_matmul
 from sdekoopman.registry import constant_diffusion
 
 
@@ -243,3 +244,39 @@ class TestTypes:
     def test_unknown_model_name(self):
         with pytest.raises(KeyError, match="registered"):
             get_model("pendulum")
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+class TestSmallMatmul:
+    """small_matmul has the bits of ``@``, signs of zero included."""
+
+    @staticmethod
+    def operands():
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, np.inf, -np.inf,
+                   1e308, -1e308, 1.0, -1.0]
+        rng = np.random.default_rng(3)
+        scaled = rng.standard_normal(48) * 10.0 ** rng.integers(-300, 300, 48)
+        return np.concatenate([special, scaled])
+
+    def test_one_column_bits_equal_matmul(self):
+        vals = self.operands()
+        Y = vals[:, None]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for m in vals:
+                for M in (np.array([[m]]), np.array([m]), np.array([[m, -m, 2.0]])):
+                    for rows in (Y, Y[3:4], Y[7]):
+                        want, got = rows @ M, small_matmul(rows, M)
+                        assert np.shape(got) == np.shape(want)
+                        assert np.array_equal(bits(got), bits(want)), (rows, M)
+
+    def test_two_columns_bits_equal_matmul(self):
+        vals = self.operands()
+        Y = np.stack([vals, vals[::-1]], axis=1)
+        rng = np.random.default_rng(4)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            for M in (rng.standard_normal((2, 2)), rng.standard_normal(2),
+                      np.array([[-0.0, 1e-300], [0.0, -1e300]])):
+                assert np.array_equal(bits(small_matmul(Y, M)), bits(Y @ M))
