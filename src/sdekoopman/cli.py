@@ -249,6 +249,8 @@ def _read_queries(path, dim):
 def cmd_fk(args) -> int:
     cfg, _, setup, fk = _load_run(args)
     queries = _read_queries(args.queries, setup.system.dim_state)
+    if args.fit:
+        feynman_kac.check_eta(args.eta)  # before the batch, which a bad eta would waste
 
     estimates = feynman_kac.fk_batch(setup.system, setup.decomp, setup.eigenpair,
                                      setup.domain, queries, fk, workers=args.threads)
@@ -328,6 +330,8 @@ def cmd_sweep(args) -> int:
     sigmas = _floats(args.sigmas, "--sigmas")
     if not sigmas:
         raise errors.ConfigError("--sigmas must contain at least one value")
+    for sigma in sigmas:  # before the rows, which a bad level would waste
+        validation.check_sigma(sigma)
 
     # a row's cost is mostly its semigroup check: below the path-step bound
     # at which fk_batch forks, a fork costs more than the rows it would run

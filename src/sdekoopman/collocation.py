@@ -182,7 +182,7 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
         # those of the whole-matrix sum
         M[blk] = L[blk] + D[blk] - lam * Kb + gamma * np.eye(len(Kb), N, k=i)
 
-    f = small_matmul(decomp.nonlinear_from_drift(X, G), eigenpair.left_eigenvector)
+    f = small_matmul(decomp.nonlinear_at(X, G), eigenpair.left_eigenvector)
 
     for name, mat in (("gram", K), ("drift", L), ("diffusion", D)):
         bad = ~np.isfinite(mat)

@@ -267,7 +267,7 @@ def _advance(system: SdeSystem, decomp: LinearDecomposition, w: Array, X: Array,
     The drift is evaluated once and split by the decomposition.
     """
     G = system.drift_at(X)
-    return small_matmul(decomp.nonlinear_from_drift(X, G), w), _em_update(
+    return small_matmul(decomp.nonlinear_at(X, G), w), _em_update(
         X, G, system.sigma_at(X), Z, dt, np.empty_like(X), np.empty_like(X))
 
 
@@ -381,9 +381,9 @@ def fk_estimate(system: SdeSystem, decomp: LinearDecomposition, eigenpair: Eigen
     Each path accumulates ``e^{-lambda t} w^T F(X_t) dt`` until it leaves the
     box (adding ``e^{-lambda tau} psi`` at the clamped exit state) or the time
     cap is hit.  Capped paths contribute their running integral without a
-    boundary term and are counted in ``n_capped``.  The source is the drift
-    split ``F = G - A (x - x*)`` of ``decomp``, as :func:`linearize` defines
-    it.
+    boundary term and are counted in ``n_capped``.  The source is
+    ``decomp.nonlinear_at(X, G)``, the drift split ``F = G - A (x - x*)``
+    that collocation's right-hand side uses too.
     """
     x = np.asarray(x, dtype=float)
     _check_query(system, domain, x)
@@ -462,6 +462,12 @@ def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     return out
 
 
+def check_eta(eta: float) -> None:
+    """The rule :func:`krr_fit` applies to its ridge: positive and finite."""
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta!r}")
+
+
 def krr_fit(kern: GaussianKernel, grid: CollocationGrid, values, eta: float,
             eigenpair: Optional[EigenPair] = None,
             equilibrium: Optional[Array] = None) -> CollocationSolution:
@@ -470,8 +476,7 @@ def krr_fit(kern: GaussianKernel, grid: CollocationGrid, values, eta: float,
     Returns an evaluable solution object; pass the eigenpair to make
     ``eval_phi`` meaningful (defaults to a placeholder with w = 0-padded 1).
     """
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    check_eta(eta)
     vals = np.asarray(values, dtype=float)
     if vals.shape != (grid.n_points,):
         raise ValueError("values must be one scalar per grid point")

@@ -248,18 +248,24 @@ def fill_distance(grid, domain: Domain, n_probe: int = 100_000) -> float:
 
     Uses a quasi-random probe set plus the box corners (for moderate
     dimension), so the value is a slight underestimate of the true supremum.
+    Squared distances are taken in probe blocks of at most ``_CHUNK_BYTES``,
+    all in one buffer pair.
     """
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    if pts.shape[0] == 0:
+    n = pts.shape[0]
+    if n == 0:
         raise ValueError("grid must be non-empty")
     probes = halton_points(domain, n_probe)
     if 2**domain.dim <= 4096:
         probes = np.vstack([probes, tensor_points(domain.lower, domain.upper, 2)])
-    # chunked nearest-node distances to bound memory
-    best = 0.0
+    rows = min(_block_rows(n), probes.shape[0])
     pts_t = np.ascontiguousarray(pts.T)
-    for chunk in np.array_split(probes, max(1, probes.shape[0] // 4096)):
-        shape = (chunk.shape[0], pts.shape[0])
-        d2 = _sq_dists(chunk, pts_t, np.empty(shape), np.empty(shape))
+    buf, scratch = np.empty(rows * n), np.empty(rows * n)
+    best = 0.0
+    for i in range(0, probes.shape[0], rows):
+        blk = probes[i:i + rows]
+        shape = (blk.shape[0], n)
+        size = shape[0] * n
+        d2 = _sq_dists(blk, pts_t, buf[:size].reshape(shape), scratch[:size].reshape(shape))
         best = max(best, float(np.sqrt(d2.min(axis=1).max())))
     return best

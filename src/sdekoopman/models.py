@@ -3,10 +3,11 @@
 An :class:`SdeSystem` bundles the drift G, the diffusion factor sigma and the
 equilibrium of ``dX = G(X) dt + sigma(X) dW``.  The drift splits as
 ``G(x) = A (x - x*) + F(x)`` with ``A`` the Jacobian at the equilibrium and
-``F`` the purely nonlinear remainder; a left eigenpair ``(lambda, w)`` of
-``A`` fixes the linear part ``w^T x`` of a principal eigenfunction, and the
-remaining nonlinear correction solves a second-order PDE handled by the
-collocation and Monte Carlo modules.
+``F`` the purely nonlinear remainder, the one source ``w^T F`` of both
+solvers, computed by ``LinearDecomposition.nonlinear_at(X, G)``.  A left
+eigenpair ``(lambda, w)`` of ``A`` fixes the linear part ``w^T x`` of a
+principal eigenfunction, and the remaining nonlinear correction solves a
+second-order PDE handled by the collocation and Monte Carlo modules.
 
 Drift and diffusion callables accept a single state of shape ``(d,)``.  They
 may additionally accept a batch of states of shape ``(n, d)`` (returning
@@ -126,10 +127,9 @@ class SdeSystem:
 
 @dataclass(frozen=True)
 class LinearDecomposition:
-    """Drift split ``G(x) = A (x - x*) + F(x)`` around the equilibrium x*."""
+    """A and x* of the drift split ``G(x) = A (x - x*) + F(x)``; F is not stored."""
 
     a_matrix: Array
-    nonlinear_part: Callable[[Array], Array]
     equilibrium: Array
 
     def __post_init__(self):
@@ -139,11 +139,7 @@ class LinearDecomposition:
         object.__setattr__(self, "a_matrix", A)
         object.__setattr__(self, "equilibrium", np.asarray(self.equilibrium, dtype=float))
 
-    def nonlinear_at(self, X: Array) -> Array:
-        """Nonlinear remainder F on a batch of states, shape ``(n, d)``."""
-        return np.asarray(self.nonlinear_part(np.atleast_2d(np.asarray(X, dtype=float))))
-
-    def nonlinear_from_drift(self, X: Array, G: Array) -> Array:
+    def nonlinear_at(self, X: Array, G: Array) -> Array:
         """``F = G - A (x - x*)`` at states X from the drift values G there."""
         return G - small_matmul(X - self.equilibrium, self.a_matrix.T)
 
@@ -253,14 +249,7 @@ def linearize(system: SdeSystem, fd_step: float = 1e-5,
                     f"drift is non-finite near the equilibrium (coordinate {j})"
                 )
             A[:, j] = (gp - gm) / (2.0 * fd_step)
-
-    def nonlinear_part(X):
-        X = np.asarray(X, dtype=float)
-        G = system.drift(X) if X.ndim == 1 else system.drift_at(X)
-        return decomp.nonlinear_from_drift(X, np.asarray(G, dtype=float))
-
-    decomp = LinearDecomposition(a_matrix=A, nonlinear_part=nonlinear_part, equilibrium=x0)
-    return decomp
+    return LinearDecomposition(a_matrix=A, equilibrium=x0)
 
 
 def left_eigenpair(decomp: LinearDecomposition, which: Optional[float] = None) -> EigenPair:

@@ -237,12 +237,17 @@ def solve_and_report(setup: ModelSetup, seed: int, fk: Optional[FkConfig] = None
     return sol, asys, result
 
 
+def check_sigma(sigma: float) -> None:
+    """The rule :func:`sweep_row` applies to a noise level: finite, nonnegative."""
+    if not 0.0 <= sigma < np.inf:
+        raise ValueError(f"sigma values must be finite and nonnegative, got {sigma!r}")
+
+
 def sweep_row(sigma: float, fk: Optional[FkConfig] = None,
               seed: Optional[int] = None) -> ExperimentReport:
     """Full pipeline for the quadratic model at one noise level ``sigma``:
     one row of :func:`conditioning_sweep`."""
-    if sigma < 0:
-        raise ValueError("sigma values must be nonnegative")
+    check_sigma(sigma)
     seed = EXPERIMENTS["test2_quadratic"][1] if seed is None else seed
     return solve_and_report(get_model("quadratic", sigma=sigma), seed, fk=fk,
                             label=f"quadratic sigma={sigma:g}")[2]

@@ -239,6 +239,23 @@ class TestFkCommand:
         # all estimates are exactly zero for the linear model
         assert np.array_equal(sol.coefficients, np.zeros(9))
 
+    @pytest.mark.parametrize("eta", ["0", "nan", "inf"])
+    def test_bad_eta_rejected_before_stepping(self, tmp_path, capsys, monkeypatch, eta):
+        import sdekoopman.feynman_kac as feynman_kac
+
+        def boom(*args, **kwargs):
+            raise AssertionError("stepped paths before checking --eta")
+
+        monkeypatch.setattr(feynman_kac, "fk_batch", boom)
+        cfg = write_config(tmp_path, OU_DOC)
+        queries = tmp_path / "q.csv"
+        queries.write_text("0.5\n")
+        out = tmp_path / "fit"
+        assert main(["fk", "--config", cfg, "--queries", str(queries), "--fit",
+                     "--eta", eta, "--out", str(out)]) == 2
+        assert "eta must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, OU_DOC)
         queries = tmp_path / "q.csv"
@@ -372,6 +389,18 @@ class TestSweepCommand:
     def test_bad_sigma_list(self, tmp_path):
         assert main(["sweep", "--sigmas", "0,heavy"]) == 2
         assert main(["sweep", "--sigmas", "-0.5"]) == 2
+
+    @pytest.mark.parametrize("sigmas", ["nan", "0.3,inf", "inf,0.3"])
+    def test_non_finite_sigma_rejected_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                      sigmas):
+        def boom(*args, **kwargs):
+            raise AssertionError("solved a row before checking --sigmas")
+
+        monkeypatch.setattr(validation, "solve_and_report", boom)
+        out = tmp_path / "sw"
+        assert main(["sweep", "--sigmas", sigmas, "--out", str(out)]) == 2
+        assert "sigma values must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [
         ("gamma", 0.5), ("kernel_lengthscale", 0.3),

@@ -525,7 +525,8 @@ class TestFiniteDifferenceOracle:
         w = s.eigenpair.left_eigenvector
         x, h = fd_dirichlet_1d(lambda x: s.system.drift_at(x[:, None])[:, 0],
                                lambda x: np.full(x.size, 2.0**2),
-                               lambda x: s.decomp.nonlinear_at(x[:, None]) @ w,
+                               lambda x: s.decomp.nonlinear_at(
+                                   x[:, None], s.system.drift_at(x[:, None])) @ w,
                                s.eigenpair.eigenvalue, lo, hi,
                                sol.eval_h(np.array([[lo], [hi]])), 1000)
         return np.max(np.abs(sol.eval_h(x[:, None]) - h))

@@ -8,6 +8,7 @@ from oracles import (fd_directional_second, fd_grad, fd_hessian,
 import sdekoopman.kernels as kernels
 from sdekoopman import Domain, GaussianKernel, fill_distance, power_function
 from sdekoopman.errors import SingularSystemError
+from sdekoopman.models import tensor_points
 
 EXP_HALF = 0.6065306597126334  # exp(-0.5)
 
@@ -327,3 +328,12 @@ class TestFillDistance:
         base = gen.uniform(-1, 1, size=(10, 2))
         extra = np.vstack([base, gen.uniform(-1, 1, size=(10, 2))])
         assert fill_distance(extra, dom, n_probe=5000) <= fill_distance(base, dom, n_probe=5000)
+
+    def test_memory_is_one_block(self, tracemalloc_peak):
+        # the probes, their copy with the corners and one buffer pair of
+        # _CHUNK_BYTES each: 0.9 MiB measured; one (20000, 900) distance
+        # matrix alone would take 137 MiB
+        dom = Domain(lower=[-1.0, -1.0], upper=[1.0, 1.0])
+        fill_distance(np.zeros((1, 2)), dom, n_probe=10)  # import scipy's qmc untraced
+        grid = tensor_points(dom.lower, dom.upper, 30)
+        assert tracemalloc_peak(fill_distance, grid, dom, n_probe=20_000) < 4 << 20

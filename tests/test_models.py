@@ -23,14 +23,15 @@ class TestLinearize:
         dec = linearize(sys1)
         assert dec.a_matrix == pytest.approx(np.array([[-1.0]]), abs=1e-9)
         xs = np.linspace(-2, 2, 17)[:, None]
-        assert np.max(np.abs(dec.nonlinear_at(xs))) < 1e-9
+        assert np.max(np.abs(dec.nonlinear_at(xs, sys1.drift_at(xs)))) < 1e-9
 
     def test_quadratic_drift_splits_off_correct_remainder(self):
         sys1 = scalar_system(lambda x: -x + 0.3 * x**2)
         dec = linearize(sys1)
         assert dec.a_matrix == pytest.approx(np.array([[-1.0]]), abs=1e-8)
-        x = np.array([0.7])
-        assert dec.nonlinear_part(x)[0] == pytest.approx(0.3 * 0.49, abs=1e-7)
+        X = np.array([[0.7]])
+        F = dec.nonlinear_at(X, sys1.drift_at(X))
+        assert F[0, 0] == pytest.approx(0.3 * 0.49, abs=1e-7)
 
     def test_exact_a_matrix_override(self):
         A = np.array([[-1.0, 0.5], [0.0, -2.0]])
@@ -39,13 +40,14 @@ class TestLinearize:
         dec = linearize(sys2, a_matrix=A)
         assert np.array_equal(dec.a_matrix, A)
         X = np.random.default_rng(1).uniform(-2, 2, size=(20, 2))
-        assert np.max(np.abs(dec.nonlinear_at(X))) == 0.0
+        assert np.max(np.abs(dec.nonlinear_at(X, sys2.drift_at(X)))) == 0.0
 
-    def test_nonlinear_part_vanishes_at_equilibrium(self):
+    def test_remainder_vanishes_at_equilibrium(self):
         for name in ("ou", "quadratic", "linear2d", "langevin"):
             setup = get_model(name)
-            eq = setup.system.equilibrium
-            assert np.linalg.norm(setup.decomp.nonlinear_part(eq)) <= 1e-10
+            eq = setup.system.equilibrium[None, :]
+            F = setup.decomp.nonlinear_at(eq, setup.system.drift_at(eq))
+            assert np.linalg.norm(F) <= 1e-10
 
     def test_decomposition_reconstructs_drift(self):
         # G(x) = A (x - x*) + F(x) on random domain points
@@ -55,7 +57,7 @@ class TestLinearize:
             d = setup.system.dim_state
             X = gen.uniform(setup.domain.lower, setup.domain.upper, size=(100, d))
             rebuilt = (X - setup.decomp.equilibrium) @ setup.decomp.a_matrix.T \
-                + setup.decomp.nonlinear_at(X)
+                + setup.decomp.nonlinear_at(X, setup.system.drift_at(X))
             assert np.max(np.abs(rebuilt - setup.system.drift_at(X))) < 1e-6
 
     def test_fd_jacobian_tolerance_window(self):
@@ -73,8 +75,9 @@ class TestLinearize:
             for j in range(d):
                 e = np.zeros(d)
                 e[j] = h
-                col = (setup.decomp.nonlinear_part(x0 + e)
-                       - setup.decomp.nonlinear_part(x0 - e)) / (2 * h)
+                Xp, Xm = (x0 + e)[None, :], (x0 - e)[None, :]
+                col = (setup.decomp.nonlinear_at(Xp, setup.system.drift_at(Xp))
+                       - setup.decomp.nonlinear_at(Xm, setup.system.drift_at(Xm))) / (2 * h)
                 assert np.max(np.abs(col)) < 1e-6
 
     def test_bad_fd_step_rejected(self):

@@ -141,6 +141,7 @@ calls = tracer.calls
 assert calls["cli.main"] == 2, dict(calls)
 assert calls["validation.run_experiment"] == 1, dict(calls)
 assert calls["validation.solve_and_report"] == 2, dict(calls)  # test1, then solve
+assert calls["models.nonlinear_at"] == 2, dict(calls)  # one split per assembly
 """
 
 
