@@ -17,10 +17,9 @@ Exit codes: 0 ok, 1 benchmark band failed (reproduce), 2 config/input error
 read or written also exits 2.  ``main`` maps exception types to codes in one
 place.  Identical invocations (same seed) produce byte-identical output
 files.  ``--threads`` is the number of processes (default: the CPUs this
-process may use) over which ``fk`` deals its queries (small batches run
-serially), ``reproduce`` its experiments and ``sweep`` its noise levels,
-round-robin in order, forking a worker for each group after the first; it
-never changes results.
+process may use) over which ``fk`` deals its queries, ``reproduce`` its
+experiments and ``sweep`` its noise levels, as ``workers.fork_count`` allows
+by their path steps; it never changes results.
 
 BLAS pools are pinned to one thread for bitwise stability, once, at the top
 of this module: the package ``__init__`` loads its modules lazily, so this
@@ -277,8 +276,10 @@ def cmd_fk(args) -> int:
 def cmd_reproduce(args) -> int:
     out = _outdir(args)  # before the runs, which a bad --out would waste
     names = [n for n in validation.EXPERIMENTS if args.which in ("all", n.split("_")[0])]
+    # each experiment runs at least one semigroup check (test2 one per level)
     results = workers.map_in_workers(
-        lambda name: validation.run_experiment(name, seed=args.seed), names, args.threads)
+        lambda name: validation.run_experiment(name, seed=args.seed), names, args.threads,
+        len(names) * validation.semigroup_path_steps())
     reports, all_checks = [], []
     for name, result in zip(names, results):
         reports.extend(result if isinstance(result, list) else [result])
@@ -330,15 +331,12 @@ def cmd_sweep(args) -> int:
     sigmas = _floats(args.sigmas, "--sigmas")
     if not sigmas:
         raise errors.ConfigError("--sigmas must contain at least one value")
-    for sigma in sigmas:  # before the rows, which a bad level would waste
-        validation.check_sigma(sigma)
+    validation.check_sigmas(sigmas)  # before the rows, which a bad level would waste
 
-    # a row's cost is mostly its semigroup check: below the path-step bound
-    # at which fk_batch forks, a fork costs more than the rows it would run
-    steps = len(sigmas) * validation.semigroup_path_steps(fk)
-    threads = args.threads if steps >= feynman_kac._FORK_MIN_PATH_STEPS else 1
+    # a row's cost is mostly its semigroup check
     rows = workers.map_in_workers(
-        lambda sigma: validation.sweep_row(sigma, fk=fk, seed=seed), sorted(sigmas), threads)
+        lambda sigma: validation.sweep_row(sigma, fk=fk, seed=seed), sorted(sigmas),
+        args.threads, len(sigmas) * validation.semigroup_path_steps(fk))
     out = _outdir(args, cfg)
     _write(os.path.join(out, "sweep.csv"), _report_csv(rows))
     print(validation.format_table(rows))

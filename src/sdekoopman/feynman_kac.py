@@ -393,11 +393,6 @@ def fk_estimate(system: SdeSystem, decomp: LinearDecomposition, eigenpair: Eigen
     return est
 
 
-# Smallest bound ``n_valid * n_paths * n_steps`` on a batch's path steps for
-# which fk_batch forks worker processes.  Measured with two workers on 2
-# vCPUs: below 2e5 the forked batch was slower in 23 of 25 shapes; from 1e6
-# on it was faster in 48 of 52 (the sweep is recorded in CHANGES.md).
-_FORK_MIN_PATH_STEPS = 1_000_000
 # Smallest number of path rows each worker steps per time step, ``(n_valid //
 # n_workers) * n_paths``; fk_batch uses no more workers than keep each one at
 # or above it, since a worker saves only the per-row work of a step while each
@@ -424,11 +419,10 @@ def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     ``_FORK_MIN_ROWS`` path rows at a time.  Each group after the first runs
     in a forked worker process (in this one when the fork fails), and an
     exception raised there is raised here.  The batch runs in this process
-    alone when there is one group, when ``os.fork`` is missing, when other
-    threads are running (a fork would copy their locks), or when ``n_valid
-    * n_paths * n_steps`` is below ``_FORK_MIN_PATH_STEPS``.  Results do not
-    depend on evaluation order, on how the queries are grouped into blocks,
-    or on the number of workers.
+    alone when there is one group or ``workers.fork_count`` refuses its path
+    steps, bounded by ``n_valid * n_paths * n_steps``.  Results do not depend
+    on evaluation order, on how the queries are grouped into blocks, or on
+    the number of workers.
     """
     workers = worker_count(workers)
     pts = np.atleast_2d(np.asarray(query_points, dtype=float))
@@ -452,9 +446,7 @@ def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     per_worker = max(1, -(-_FORK_MIN_ROWS // cfg.n_paths))  # fewest queries a worker takes
     bound = len(valid) * cfg.n_paths * _n_steps(_horizon(eigenpair.eigenvalue, cfg)[0],
                                                 cfg.dt)
-    n_workers = 1
-    if bound >= _FORK_MIN_PATH_STEPS:
-        n_workers = fork_count(min(workers, len(valid) // per_worker))
+    n_workers = fork_count(min(workers, len(valid) // per_worker), bound)
     groups = [valid[k::n_workers] for k in range(n_workers)]
     for ids, ests in zip(groups, _in_workers(run, groups)):
         for i, est in zip(ids, ests):

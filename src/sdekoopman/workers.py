@@ -4,7 +4,8 @@
 ``os.fork``, which sends its values back pickled over a pipe, and the first
 group in the calling process.  :func:`map_in_workers` deals a list of items
 to such groups round-robin.  ``fk_batch`` deals its queries this way, the
-``reproduce`` and ``sweep`` commands their experiments and noise levels.
+``reproduce`` and ``sweep`` commands their experiments and noise levels, all
+forking as many workers as the one rule of :func:`fork_count` allows.
 ``multiprocessing`` is not used: the model callables are closures, which do
 not pickle, and it starts helper threads.
 """
@@ -20,27 +21,30 @@ from .errors import EvaluationError
 from .models import is_int
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def worker_count(workers: Optional[int]) -> int:
     """``workers`` checked, or the CPUs this process may use for None."""
     if workers is None:
-        return _cpu_count()
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     if not is_int(workers) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     return workers
 
 
-def fork_count(wanted: int) -> int:
-    """``wanted`` worker processes, or 1 when this process cannot fork: the
-    platform has no ``os.fork``, or other threads are running (a fork would
-    copy their locks)."""
-    if wanted > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+# Fewest Euler-Maruyama path steps for which work forks.  Measured with two
+# workers on 2 vCPUs: fk_batch was slower forked in 23 of 25 shapes below 2e5
+# path steps, faster in 48 of 52 from 1e6 on (shapes listed in CHANGES.md); two
+# sweep rows of 300 paths x 50 steps took 20 ms in one process, 24 ms forked.
+_FORK_MIN_PATH_STEPS = 1_000_000
+
+
+def fork_count(wanted: int, path_steps: float) -> int:
+    """``wanted`` worker processes for work of ``path_steps`` path steps, or 1
+    when that is below ``_FORK_MIN_PATH_STEPS`` or this process cannot fork:
+    no ``os.fork``, or other threads running (a fork would copy their locks)."""
+    if (wanted > 1 and path_steps >= _FORK_MIN_PATH_STEPS and hasattr(os, "fork")
+            and threading.active_count() == 1):
         return wanted
     return 1
 
@@ -156,7 +160,7 @@ def in_workers(task, groups) -> list:
     return [values for values, _ in outcomes]
 
 
-def map_in_workers(fn, items, workers: Optional[int] = None) -> list:
+def map_in_workers(fn, items, workers: Optional[int], path_steps: float) -> list:
     """``[fn(x) for x in items]``, spread over forked worker processes.
 
     The items are dealt round-robin to ``min(workers, len(items))`` groups
@@ -165,11 +169,11 @@ def map_in_workers(fn, items, workers: Optional[int] = None) -> list:
     results back pickled.  A group stops at its first item that raises,
     and the exception of the first failing item in item order is raised
     here, as a serial run raises it.  Everything runs in this process when
-    there is one group or it cannot fork (no ``os.fork``, or other threads
-    running).  ``fn`` must not depend on which process runs it.
+    :func:`fork_count` refuses ``path_steps``, the path steps of all items
+    together.  ``fn`` must not depend on which process runs it.
     """
     items = list(items)
-    n = fork_count(min(worker_count(workers), len(items)))
+    n = fork_count(min(worker_count(workers), len(items)), path_steps)
     groups = [items[k::n] for k in range(n)]
     results = in_workers(lambda group: map(fn, group), groups)
     return [results[i % n][i // n] for i in range(len(items))]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sdekoopman.feynman_kac as feynman_kac
+import sdekoopman.workers as workers_module
 from sdekoopman import (CollocationGrid, Domain, EigenPair, FkConfig,
                         GaussianKernel, em_step, fk_batch, fk_estimate, get_model,
                         krr_fit, mc_convergence_probe, simulate_terminal)
@@ -18,6 +19,9 @@ from sdekoopman.feynman_kac import (_NormalStream, _noise_sum, counter_normals,
 from sdekoopman.workers import map_in_workers
 from sdekoopman.models import SdeSystem, linearize
 from sdekoopman.registry import constant_diffusion
+
+# path steps at which map_in_workers forks: its tests of dealing and errors fork
+FORK_STEPS = workers_module._FORK_MIN_PATH_STEPS
 
 
 def positive_pair():
@@ -545,7 +549,7 @@ class TestCsv:
 def forced_fork(monkeypatch, forks):
     """Fork workers for any batch size; yields the pids forked, and checks
     afterwards that every child was reaped."""
-    monkeypatch.setattr(feynman_kac, "_FORK_MIN_PATH_STEPS", 0)
+    monkeypatch.setattr(workers_module, "_FORK_MIN_PATH_STEPS", 0)
     monkeypatch.setattr(feynman_kac, "_FORK_MIN_ROWS", 0)
     return forks
 
@@ -650,10 +654,10 @@ class TestForkedWorkers:
             release.set()
             other.join()
         # bound 4 queries x 40 paths x 50 steps, one below the threshold
-        monkeypatch.setattr(feynman_kac, "_FORK_MIN_PATH_STEPS", 4 * 40 * 50 + 1)
+        monkeypatch.setattr(workers_module, "_FORK_MIN_PATH_STEPS", 4 * 40 * 50 + 1)
         assert [repr(e) for e in fk_batch(*problem, pts, cfg, workers=2)] == expected
         assert forced_fork == []
-        monkeypatch.setattr(feynman_kac, "_FORK_MIN_PATH_STEPS", 4 * 40 * 50)
+        monkeypatch.setattr(workers_module, "_FORK_MIN_PATH_STEPS", 4 * 40 * 50)
         assert [repr(e) for e in fk_batch(*problem, pts, cfg, workers=2)] == expected
         assert len(forced_fork) == 1
         # each of the two workers steps 2 queries x 40 paths at a time
@@ -696,9 +700,16 @@ class TestForkedWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7, 9])
     def test_map_keeps_item_order(self, forks, workers):
-        assert map_in_workers(lambda x: x * x, range(7), workers) == [x * x for x in range(7)]
+        assert map_in_workers(lambda x: x * x, range(7), workers, FORK_STEPS) == \
+            [x * x for x in range(7)]
         assert len(forks) == min(workers, 7) - 1
-        assert map_in_workers(len, [], workers) == []
+        assert map_in_workers(len, [], workers, FORK_STEPS) == []
+
+    def test_map_forks_from_the_path_step_bound(self, forks):
+        assert map_in_workers(abs, [-1, 2], 2, FORK_STEPS - 1) == [1, 2]
+        assert forks == []
+        assert map_in_workers(abs, [-1, 2], 2, FORK_STEPS) == [1, 2]
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_map_raises_the_first_failing_item(self, forks, workers):
@@ -710,7 +721,7 @@ class TestForkedWorkers:
             return x * x
 
         with pytest.raises(RuntimeError, match="^item 3 refused$"):
-            map_in_workers(square, range(6), workers)
+            map_in_workers(square, range(6), workers, FORK_STEPS)
         assert len(forks) == workers - 1
 
     def test_first_item_failing_kills_the_workers(self, forks):
@@ -723,7 +734,7 @@ class TestForkedWorkers:
 
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="^item 0 refused$"):
-            map_in_workers(item, [0, 1], 2)
+            map_in_workers(item, [0, 1], 2, FORK_STEPS)
         assert time.monotonic() - start < 30
         assert len(forks) == 1
 

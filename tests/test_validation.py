@@ -8,12 +8,13 @@ from sdekoopman import (Domain, EigenPair, FkConfig, GaussianKernel,
                         conditioning_sweep, make_grid, rmse_vs_exact,
                         run_experiment, semigroup_check, semigroup_curve,
                         solve_system)
+import sdekoopman.validation as validation
 from sdekoopman.cli import _report_csv
 from sdekoopman.collocation import GridSpec, save_solution
 from sdekoopman.models import SdeSystem, linearize
 from sdekoopman.registry import constant_diffusion, get_model
 from sdekoopman.validation import (ExperimentReport, boundary_points,
-                                   format_table, solve_and_report)
+                                   format_table, semigroup_path_steps, solve_and_report)
 
 SMALL_FK = FkConfig(n_paths=2000, seed=5)
 
@@ -26,6 +27,30 @@ def wide_noise_ou(sigma=1.5):
 
 
 class TestSemigroup:
+    @pytest.mark.parametrize("fk", [None, FkConfig(dt=0.02, n_paths=300, seed=5)])
+    def test_path_steps_are_the_rows_stepped(self, monkeypatch, fk):
+        # reproduce and sweep fork by this count: the rows sigma_at sees
+        # while the semigroup check of solve_and_report steps its paths
+        rows, stepping = [], []
+        sigma_at, simulate = SdeSystem.sigma_at, validation.simulate_terminal
+
+        def counting_sigma(self, X):
+            if stepping:
+                rows.append(len(X))
+            return sigma_at(self, X)
+
+        def simulating(*args, **kwargs):
+            stepping.append(True)
+            try:
+                return simulate(*args, **kwargs)
+            finally:
+                stepping.clear()
+
+        monkeypatch.setattr(SdeSystem, "sigma_at", counting_sigma)
+        monkeypatch.setattr(validation, "simulate_terminal", simulating)
+        solve_and_report(get_model("quadratic", sigma=0.3), 0, fk=fk, metrics=("semigroup",))
+        assert sum(rows) == semigroup_path_steps(fk) == (1_000_000 if fk is None else 7_500)
+
     def test_ou_matches_exact_mean(self, ou_setup):
         # for phi(x) = x the prediction equals the closed-form OU mean
         res = semigroup_check(ou_setup.system, lambda X: np.atleast_2d(X)[:, 0],
@@ -171,6 +196,15 @@ class TestConditioningSweep:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             conditioning_sweep([-0.1], fk=SMALL_FK)
+
+    def test_every_level_checked_before_any_row(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(validation, "solve_and_report",
+                            lambda setup, *args, **kwargs: solved.append(setup) or (None,) * 3)
+        with pytest.raises(ValueError, match="^sigma values must be finite and "
+                                             "nonnegative, got nan$"):
+            conditioning_sweep([0.3, float("nan")], fk=SMALL_FK)
+        assert solved == []
 
 
 class TestRunExperiment:
