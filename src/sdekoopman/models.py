@@ -9,10 +9,12 @@ eigenpair ``(lambda, w)`` of ``A`` fixes the linear part ``w^T x`` of a
 principal eigenfunction, and the remaining nonlinear correction solves a
 second-order PDE handled by the collocation and Monte Carlo modules.
 
-Drift and diffusion callables accept a single state of shape ``(d,)``.  They
-may additionally accept a batch of states of shape ``(n, d)`` (returning
-``(n, d)`` and ``(n, d, m)`` respectively); batch support is detected once at
-construction and falls back to a row loop otherwise.
+Drift and diffusion callables accept a single state of shape ``(d,)`` and
+may also accept a batch ``(n, d)``, returning ``(n, d)`` and ``(n, d, m)``.
+Batch support is decided once, at construction, on d + 1 stacked copies of
+the equilibrium; other callables run row by row.  A batch callable must treat
+rows independently, as ``-x * np.sum(x**2, axis=-1, keepdims=True)`` does: a
+reduction over the whole array has the batch shape too, and passes the probe.
 """
 
 from __future__ import annotations
@@ -95,34 +97,30 @@ class SdeSystem:
                 f"diffusion_factor must return shape ({self.dim_state}, {self.dim_noise}),"
                 f" got {s0.shape}"
             )
-        object.__setattr__(self, "_drift_batched", self._probe_batch(self.drift, (2, self.dim_state)))
-        object.__setattr__(
-            self,
-            "_sigma_batched",
-            self._probe_batch(self.diffusion_factor, (2, self.dim_state, self.dim_noise)),
-        )
+        object.__setattr__(self, "_drift_eval", self._evaluator(self.drift, g0.shape))
+        object.__setattr__(self, "_sigma_eval",
+                           self._evaluator(self.diffusion_factor, s0.shape))
 
-    def _probe_batch(self, fn, want_shape):
-        probe = np.stack([self.equilibrium, self.equilibrium])
+    def _evaluator(self, fn, shape):
+        """``fn`` itself when it maps d + 1 stacked copies of the equilibrium
+        to shape ``(d + 1, *shape)``, else a loop over the rows of a batch."""
+        probe = np.tile(self.equilibrium, (self.dim_state + 1, 1))
         try:
-            out = np.asarray(fn(probe), dtype=float)
+            if np.shape(fn(probe)) == probe.shape[:1] + shape:
+                return fn
         except Exception:
-            return False
-        return out.shape == want_shape
+            pass
+        return lambda X: np.stack([np.asarray(fn(x), dtype=float) for x in X])
 
     def drift_at(self, X: Array) -> Array:
         """Drift evaluated at a batch of states, shape ``(n, d)``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._drift_batched:
-            return np.asarray(self.drift(X), dtype=float)
-        return np.stack([np.asarray(self.drift(x), dtype=float) for x in X])
+        return np.asarray(self._drift_eval(X), dtype=float)
 
     def sigma_at(self, X: Array) -> Array:
         """Diffusion factor at a batch of states, shape ``(n, d, m)``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self._sigma_batched:
-            return np.asarray(self.diffusion_factor(X), dtype=float)
-        return np.stack([np.asarray(self.diffusion_factor(x), dtype=float) for x in X])
+        return np.asarray(self._sigma_eval(X), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -238,17 +236,16 @@ def linearize(system: SdeSystem, fd_step: float = 1e-5,
         if A.shape != (d, d):
             raise ValueError(f"a_matrix must have shape ({d}, {d})")
     else:
-        A = np.empty((d, d))
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = fd_step
-            gp = np.asarray(system.drift(x0 + e), dtype=float)
-            gm = np.asarray(system.drift(x0 - e), dtype=float)
-            if not (np.all(np.isfinite(gp)) and np.all(np.isfinite(gm))):
-                raise EvaluationError(
-                    f"drift is non-finite near the equilibrium (coordinate {j})"
-                )
-            A[:, j] = (gp - gm) / (2.0 * fd_step)
+        # rows j and d + j are the equilibrium shifted by +-fd_step along axis j
+        shifts = fd_step * np.eye(d)
+        G = system.drift_at(np.concatenate([x0 + shifts, x0 - shifts]))
+        bad = ~np.isfinite(G).all(axis=1)
+        if bad.any():
+            j = int(np.argmax(bad[:d] | bad[d:]))
+            raise EvaluationError(
+                f"drift is non-finite near the equilibrium (coordinate {j})"
+            )
+        A = (G[:d] - G[d:]).T / (2.0 * fd_step)
     return LinearDecomposition(a_matrix=A, equilibrium=x0)
 
 
@@ -291,8 +288,7 @@ def left_eigenpair(decomp: LinearDecomposition, which: Optional[float] = None) -
 
 def diffusion_tensor(system: SdeSystem, x: Array) -> Array:
     """Diffusion tensor ``a(x) = sigma(x) sigma(x)^T`` (symmetric PSD)."""
-    x = _as_point(x, system.dim_state)
-    s = np.asarray(system.diffusion_factor(x), dtype=float)
+    s = system.sigma_at(_as_point(x, system.dim_state))[0]
     return s @ s.T
 
 
@@ -304,11 +300,8 @@ def ellipticity_level(system: SdeSystem, domain: Domain, n_probe: int = 128) -> 
     """
     if n_probe < 1:
         raise ValueError("n_probe must be >= 1")
-    probes = halton_points(domain, n_probe)
-    nu = np.inf
-    for x in probes:
-        a = diffusion_tensor(system, x)
-        nu = min(nu, float(np.linalg.eigvalsh(a)[0]))
+    S = system.sigma_at(halton_points(domain, n_probe))
+    nu = float(np.linalg.eigvalsh(S @ S.transpose(0, 2, 1))[:, 0].min())
     return max(nu, 0.0)
 
 

@@ -54,11 +54,11 @@ SEMIGROUP_T = 0.5
 SEMIGROUP_PATHS = 20_000
 
 
-def semigroup_path_steps(fk: Optional[FkConfig] = None) -> float:
+def semigroup_path_steps(fk: Optional[FkConfig] = None) -> int:
     """Euler-Maruyama path steps of the semigroup check that
-    :func:`solve_and_report` runs with ``fk``."""
+    :func:`solve_and_report` runs with ``fk``, whose dt must divide its horizon."""
     cfg = fk or FkConfig(n_paths=SEMIGROUP_PATHS)
-    return cfg.n_paths * SEMIGROUP_T / cfg.dt
+    return cfg.n_paths * horizon_steps([SEMIGROUP_T], cfg.dt)[0]
 
 
 @dataclass(frozen=True)
@@ -197,13 +197,15 @@ def solve_and_report(setup: ModelSetup, seed: int, fk: Optional[FkConfig] = None
     after ``write`` returns, ahead of any error of ``write``, as if the
     metrics had run first.
     """
+    cfg = fk or FkConfig(n_paths=SEMIGROUP_PATHS, seed=seed)
+    if "semigroup" in metrics:
+        semigroup_path_steps(cfg)  # before the solve, which a bad dt would waste
     kern = GaussianKernel(setup.lengthscale)
     grid = make_grid(setup.domain, setup.grid_spec)
     # the condition number is the first metric; solve computes it only when
     # the LU fails or gives non-finite coefficients
     sol, asys, _ = solve_system(setup.system, setup.decomp, setup.eigenpair,
                                 kern, grid, setup.gamma, condition=False)
-    cfg = fk or FkConfig(n_paths=SEMIGROUP_PATHS, seed=seed)
 
     def report():
         pts = residual_test_points(setup.domain)

@@ -183,6 +183,16 @@ class TestSolveFailureWritesNothing:
         assert "numerically singular" in capsys.readouterr().err
         self.assert_nothing_left(out, written)
 
+    def test_semigroup_dt_rejected_before_solving(self, tmp_path, written, capsys):
+        # dt = 0.03 does not divide the semigroup horizon 0.5
+        doc = dict(OU_DOC, fk={"dt": 0.03})
+        out = self.earlier_run(tmp_path)
+        assert main(["solve", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 2
+        assert "whole number of time steps" in capsys.readouterr().err
+        assert written == []
+        assert os.listdir(out) == ["solution.json"]
+
 
 class TestFkCommand:
     def test_estimates_csv(self, tmp_path):
@@ -296,6 +306,21 @@ class TestReproduceCommand:
         lines = read(os.path.join(out, "summary.csv")).decode().splitlines()
         assert len(lines) == 2  # header + one row
 
+    def test_failed_band_exits_1_after_writing_summary(self, tmp_path, capsys, monkeypatch):
+        check_acceptance = validation.check_acceptance
+
+        def first_band_fails(name, result):
+            (label, _, detail), *rest = check_acceptance(name, result)
+            return [(label, False, detail), *rest]
+
+        monkeypatch.setattr(validation, "check_acceptance", first_band_fails)
+        out = tmp_path / "rep"
+        assert main(["reproduce", "test1", "--out", str(out)]) == 1
+        stdout = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("[FAIL] test1_ou: ") for line in stdout) == 1
+        assert "1 benchmark band(s) failed" in stdout
+        assert len(read(out / "summary.csv").decode().splitlines()) == 2
+
     def test_config_flag_rejected(self, capsys):
         # reproduce runs the pinned experiments; it has no --config to ignore
         with pytest.raises(SystemExit) as exc:
@@ -400,6 +425,18 @@ class TestSweepCommand:
         out = tmp_path / "sw"
         assert main(["sweep", "--sigmas", sigmas, "--out", str(out)]) == 2
         assert "sigma values must be finite and nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_semigroup_dt_rejected_before_any_row(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(validation, "solve_and_report",
+                            lambda *args, **kwargs: calls.append(args))
+        doc = {"model": "quadratic", "fk": {"dt": 0.03}}
+        out = tmp_path / "sw"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--sigmas", "0.3,0.5",
+                     "--out", str(out)]) == 2
+        assert "whole number of time steps" in capsys.readouterr().err
+        assert calls == []
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value", [

@@ -97,6 +97,96 @@ class TestLinearize:
             linearize(sys1)
 
 
+    def test_non_finite_drift_names_first_coordinate(self):
+        # finite on the shifts along axis 0, non-finite on those along axis 1
+        def drift(x):
+            x = np.asarray(x, dtype=float)
+            return -x + np.where(x[..., 1:] != 0.0, np.nan, 0.0)
+
+        sys2 = SdeSystem(dim_state=2, dim_noise=2, drift=drift,
+                         diffusion_factor=constant_diffusion(np.eye(2)))
+        with pytest.raises(EvaluationError, match=r"\(coordinate 1\)"):
+            linearize(sys2)
+
+
+def per_state_2d():
+    """A drift and sigma written for one state at a time; the drift also maps
+    a batch of 2 states to shape (2, 2), so only more rows than d show that
+    it is not a batch callable."""
+    drift = lambda x: np.array([-x[0] + 0.5 * x[1] + 0.3 * x[1] ** 2, -2 * x[1]])
+    sigma = lambda x: np.array([[0.3, 0.0], [0.1 * x[0], 0.5]])
+    return SdeSystem(dim_state=2, dim_noise=2, drift=drift, diffusion_factor=sigma)
+
+
+def batched_2d():
+    """``per_state_2d`` with batch callables and the same arithmetic."""
+    def drift(x):
+        return np.stack([-x[..., 0] + 0.5 * x[..., 1] + 0.3 * x[..., 1] ** 2,
+                         -2 * x[..., 1]], axis=-1)
+
+    def sigma(x):
+        x0 = x[..., 0]
+        z = np.zeros_like(x0)
+        return np.stack([np.stack([z + 0.3, z], axis=-1),
+                         np.stack([0.1 * x0, z + 0.5], axis=-1)], axis=-2)
+
+    return SdeSystem(dim_state=2, dim_noise=2, drift=drift, diffusion_factor=sigma)
+
+
+class TestBatchEvaluation:
+    """Each callable's batch form is decided once, at construction."""
+
+    def test_per_state_callables_match_their_batched_twin(self):
+        from sdekoopman import (FkConfig, GaussianKernel, GridSpec, fk_batch,
+                                make_grid, solve_system)
+
+        A = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        dom = Domain(lower=[-1.5, -1.5], upper=[1.5, 1.5])
+        grid = make_grid(dom, GridSpec("tensor", 6))
+        # at 2 paths a block of live paths has as many rows as the state has
+        # coordinates, the case a 2-row batch probe mistook for a batch call
+        queries = np.array([[0.4, -0.3]])
+        results = []
+        for system in (per_state_2d(), batched_2d()):
+            dec = linearize(system, a_matrix=A)
+            pair = left_eigenpair(dec, which=-1.0)
+            sol, _, _ = solve_system(system, dec, pair, GaussianKernel(1.0), grid, 1e-4,
+                                     condition=False)
+            estimates = [repr(fk_batch(system, dec, pair, dom, queries,
+                                       FkConfig(dt=0.01, n_paths=n, t_max=2.0, seed=3),
+                                       workers=1)) for n in (2, 50)]
+            results.append((sol.coefficients, estimates))
+        (alpha, est), (alpha_twin, est_twin) = results
+        assert np.array_equal(alpha, alpha_twin)
+        assert est == est_twin
+        assert "failure=None" in est[0] and "failure=None" in est[1]
+
+    def test_callables_that_reject_a_batch_run_row_by_row(self):
+        calls = []
+
+        def one_state(fn):
+            def wrapped(x):
+                if np.ndim(x) != 1:
+                    raise TypeError("one state at a time")
+                calls.append(fn.__name__)
+                return fn(x)
+            return wrapped
+
+        def drift(x):
+            return -x
+
+        def sigma(x):
+            return np.diag(0.5 + x**2)
+
+        system = SdeSystem(dim_state=2, dim_noise=2, drift=one_state(drift),
+                           diffusion_factor=one_state(sigma))
+        calls.clear()
+        X = np.arange(10.0).reshape(5, 2)
+        assert np.array_equal(system.drift_at(X), -X)
+        assert np.array_equal(system.sigma_at(X), np.stack([np.diag(0.5 + x**2) for x in X]))
+        assert calls == ["drift"] * 5 + ["sigma"] * 5
+
+
 class TestLeftEigenpair:
     def test_scalar(self):
         dec = linearize(scalar_system(lambda x: -x))

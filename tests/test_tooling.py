@@ -1,6 +1,8 @@
-"""The benchmark's tracing hooks find every name they wrap in the package."""
+"""The benchmark's tracing hooks find every name they wrap in the package,
+the import path stays light, and the README names only files that exist."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,3 +155,12 @@ def test_traced_cli_records_library_spans(tmp_path):
                           cwd=ROOT / "bench", env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_paths_exist():
+    # a file the README names in backticks is one a reader can open
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    paths = re.findall(r"`((?:src|tests|scripts|bench)/[^`\s:]*)", text)
+    assert "bench/run.py" in paths
+    missing = [p for p in paths if not (ROOT / p).exists()]
+    assert not missing, missing
