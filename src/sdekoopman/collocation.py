@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import AssemblyError, SingularSystemError
-from .kernels import GaussianKernel, _block_rows, first_close_pair
+from .kernels import GaussianKernel, block_rows, first_close_pair
 from .models import (Domain, EigenPair, LinearDecomposition, SdeSystem, is_int,
                      small_matmul, tensor_points)
 
@@ -35,19 +35,7 @@ def _eval_rows(n_cols: int) -> int:
     (rows, n_cols) float block fits in ``_CHUNK_BYTES``, and at least 4.  gemv
     rounds rows in groups of 4, so each block's products with the
     coefficients keep the bits of the whole-matrix product."""
-    return max(4, _block_rows(n_cols) // 4 * 4)
-
-
-def _kernel_blocks(kern: GaussianKernel, X: Array, centres: Array, rows: int):
-    """Yield ``(rows_slice, K)`` for blocks of ``rows`` points of ``X``: ``K``
-    holds the kernel rows of ``X[rows_slice]`` against ``centres``, written
-    into one block (and one scratch block) that all blocks reuse."""
-    n = X.shape[0]
-    block = np.empty((min(rows, n), centres.shape[0]))
-    scratch = kern.eval_scratch(block.shape[0], centres)
-    for i in range(0, n, rows):
-        yield slice(i, i + rows), kern.eval_matrix(X[i:i + rows], centres,
-                                                   out=block[:n - i], scratch=scratch)
+    return max(4, block_rows(n_cols) // 4 * 4)
 
 
 def _eval_points(x, dim: int) -> Array:
@@ -152,9 +140,9 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     :func:`_half_trace_term`: exact for any sigma, singular included, and
     D = 0 exactly when sigma vanishes.
 
-    L, D and M are filled in row blocks whose (rows, N, d) difference tensor
-    stays within ``_block_rows``' cap, so beyond the four N x N matrices
-    K, L, D and M only one block's temporaries are held.  Each entry is the
+    K, L, D and M are filled in one pass of row blocks whose (rows, N, d)
+    difference tensor stays within ``block_rows``' cap, so beyond the four
+    N x N matrices only one block's temporaries are held.  Each entry is the
     expression of the whole-matrix formula, in the same order.
     """
     if not np.isfinite(gamma):
@@ -166,21 +154,17 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     l2 = kern.lengthscale**2
     lam = eigenpair.eigenvalue
 
-    K = kern.eval_matrix(X, X)
     G = system.drift_at(X)
     S = system.sigma_at(X)
-    L, D, M = np.empty((N, N)), np.empty((N, N)), np.empty((N, N))
-    rows = _block_rows(N * d)
-    for i in range(0, N, rows):
-        blk = slice(i, i + rows)
+    K, L, D, M = (np.empty((N, N)) for _ in range(4))
+    for blk, Kb in kern.eval_blocks(X, X, block_rows(N * d), out=K):
         diff = X[blk, None, :] - X[None, :, :]  # diff[i, j] = x_i - x_j
-        Kb = K[blk]
         L[blk] = -(np.einsum("id,ijd->ij", G[blk], diff) / l2) * Kb
         D[blk] = _half_trace_term(Kb, diff, S[blk], l2)
         # gamma I added over the whole (rows, N) slice, not on its diagonal
         # only: -0.0 + 0.0 is +0.0, so the off-diagonal signs of zero are
         # those of the whole-matrix sum
-        M[blk] = L[blk] + D[blk] - lam * Kb + gamma * np.eye(len(Kb), N, k=i)
+        M[blk] = L[blk] + D[blk] - lam * Kb + gamma * np.eye(len(Kb), N, k=blk.start)
 
     f = small_matmul(decomp.nonlinear_at(X, G), eigenpair.left_eigenvector)
 
@@ -260,14 +244,14 @@ class CollocationSolution:
     def eval_h(self, x: Array):
         """Nonlinear correction ``h(x) = sum_j alpha_j k(x, x_j)``; batched.
 
-        The kernel rows are formed :func:`_eval_rows` at a time by
-        :func:`_kernel_blocks`.  Points that are not ``grid.dim`` wide raise
-        ValueError.
+        The kernel rows are formed :func:`_eval_rows` at a time, in one block
+        that :meth:`GaussianKernel.eval_blocks` reuses.  Points that are not
+        ``grid.dim`` wide raise ValueError.
         """
         X = _eval_points(x, self.grid.dim)
         centres = self.grid.points
         vals = np.empty(X.shape[0])
-        for blk, K in _kernel_blocks(self.kernel, X, centres, _eval_rows(len(centres))):
+        for blk, K in self.kernel.eval_blocks(X, centres, _eval_rows(len(centres))):
             vals[blk] = K @ self.coefficients
         return float(vals[0]) if np.ndim(x) == 1 else vals
 
@@ -311,7 +295,8 @@ def pde_residual(sol: CollocationSolution, system: SdeSystem, test_points) -> Re
     G and sigma are evaluated once on all points; the kernel rows, the
     difference tensor and the Hessian-trace term are formed in blocks of
     :func:`_eval_rows` points, whose (rows, N, d) tensor fits in
-    ``_CHUNK_BYTES``, into one kernel block reused by all of them.  Each
+    ``_CHUNK_BYTES``, into one kernel block that
+    :meth:`GaussianKernel.eval_blocks` reuses for all of them.  Each
     value has the bits of the whole-matrix formula.  Raises ValueError when
     there are no test points, when they are not ``grid.dim`` wide, or when
     one is not finite.
@@ -332,7 +317,7 @@ def pde_residual(sol: CollocationSolution, system: SdeSystem, test_points) -> Re
     N, d = nodes.shape
     linear = small_matmul(X - sol.equilibrium, w)
     r = np.empty(X.shape[0])
-    for blk, K in _kernel_blocks(sol.kernel, X, nodes, _eval_rows(N * d)):
+    for blk, K in sol.kernel.eval_blocks(X, nodes, _eval_rows(N * d)):
         diff = X[blk, None, :] - nodes[None, :, :]
         grad_phi = w[None, :] - np.einsum("njd,nj,j->nd", diff, K, alpha) / l2
         phi = linear[blk] + K @ alpha

@@ -11,6 +11,10 @@ The generator's second-order term enters the collocation system through
 inverts it, so it is exact for singular a(x) too.  The pairwise entries here
 also give the equivalent vector-field form ``(1/2) sum_k (sigma_k . grad)^2 k``,
 the tests' oracle for the assembled matrix.
+
+Every pairwise computation over point sets (kernel matrices and the
+collocation blocks, the coincident-node check, the fill distance) is one
+row-block pass of squared distances, :func:`_sq_dist_blocks`.
 """
 
 from __future__ import annotations
@@ -24,54 +28,59 @@ from .models import Domain, halton_points, tensor_points
 
 Array = np.ndarray
 
-# Cap on each (rows, N) block that eval_matrix fills at once; a block and its
-# scratch stay in a core's L2 cache while each coordinate is added in.
+# Cap on each (rows, N) block of a pairwise pass; a block and its scratch
+# stay in a core's L2 cache while each coordinate is added in.
 _CHUNK_BYTES = 256 << 10
 
 
-def _block_rows(n_cols: int) -> int:
+def block_rows(n_cols: int) -> int:
     """Rows of an (rows, n_cols) float block that fit in ``_CHUNK_BYTES``."""
     return max(1, _CHUNK_BYTES // max(1, 8 * n_cols))
 
 
-def _sq_dists(A: Array, Bt: Array, out: Array, scratch: Array) -> Array:
-    """Squared distances ``||a_i - b_j||^2`` into ``out``, coordinates added
-    left to right; ``Bt`` is the second point set transposed, (d, N), and
-    ``scratch`` has the shape of ``out``."""
-    np.subtract(A[:, :1], Bt[0], out=out)
-    np.square(out, out=out)
-    for k in range(1, A.shape[1]):
-        np.subtract(A[:, k:k + 1], Bt[k], out=scratch)
-        np.square(scratch, out=scratch)
-        np.add(out, scratch, out=out)
-    return out
+def _sq_dist_blocks(A: Array, B: Array, rows: int, out=None):
+    """Yield ``(rows_slice, D)`` for blocks of ``rows`` rows of ``A``: ``D``
+    holds the squared distances ``||a_i - b_j||^2`` of ``A[rows_slice]`` to
+    the rows of ``B``, coordinates added left to right.
+
+    ``D`` is a view of ``out``'s rows when ``out`` is given, else one block
+    that every block reuses, so a caller keeps no ``D`` past its step.  One
+    scratch block serves all blocks; 1-D points need none.
+    """
+    n, m = A.shape[0], B.shape[0]
+    Bt = np.ascontiguousarray(B.T)
+    size = min(rows, n)
+    block = np.empty((size, m)) if out is None else None
+    scratch = np.empty((size, m)) if A.shape[1] > 1 else None
+    for i in range(0, n, rows):
+        blk = slice(i, i + rows)
+        D = out[blk] if block is None else block[:n - i]
+        np.subtract(A[blk, :1], Bt[0], out=D)
+        np.square(D, out=D)
+        for k in range(1, A.shape[1]):
+            tmp = scratch[:len(D)]
+            np.subtract(A[blk, k:k + 1], Bt[k], out=tmp)
+            np.square(tmp, out=tmp)
+            np.add(D, tmp, out=D)
+        yield blk, D
 
 
 def first_close_pair(points: Array, tol: float):
     """The first pair ``(i, j)``, ``i < j``, in row-major order, of rows of
     ``points`` at most ``tol`` apart, or None when there is none.
 
-    Squared distances are taken in row blocks of at most ``_CHUNK_BYTES``,
-    each block against the rows from its own first row on.  They are
-    symmetric bit for bit, so the first hit off the diagonal lies above it: a
-    hit ``(i, j)`` with ``j < i`` is the hit ``(j, i)`` of an earlier row.
+    Squared distances are symmetric bit for bit, so with the diagonal masked
+    the first hit lies above it: a hit ``(i, j)`` with ``j < i`` is the hit
+    ``(j, i)`` of an earlier row.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
-    rows = _block_rows(n)
-    pts_t = np.ascontiguousarray(pts.T)
-    buf, scratch = np.empty(min(rows, n) * n), np.empty(min(rows, n) * n)
     tol2 = tol * tol
-    for i in range(0, n, rows):
-        shape = (min(rows, n - i), n - i)
-        size = shape[0] * shape[1]
-        blk = _sq_dists(pts[i:i + rows], pts_t[:, i:], buf[:size].reshape(shape),
-                        scratch[:size].reshape(shape))
-        np.fill_diagonal(blk, np.inf)
-        near = np.flatnonzero(blk.min(axis=1) <= tol2)
+    for blk, D in _sq_dist_blocks(pts, pts, block_rows(len(pts))):
+        np.fill_diagonal(D[:, blk.start:], np.inf)
+        near = np.flatnonzero(D.min(axis=1) <= tol2)
         if near.size:
             r = int(near[0])
-            return i + r, i + int(np.flatnonzero(blk[r] <= tol2)[0])
+            return blk.start + r, int(np.flatnonzero(D[r] <= tol2)[0])
     return None
 
 
@@ -101,47 +110,36 @@ class GaussianKernel:
 
     __call__ = eval
 
-    def eval_matrix(self, X: Array, Y: Array, out=None, scratch=None) -> Array:
-        """Pairwise kernel matrix for rows of X against rows of Y.
+    def eval_blocks(self, X: Array, Y: Array, rows: int, out=None):
+        """Yield ``(rows_slice, K)`` for blocks of ``rows`` rows of X: ``K``
+        holds the kernel rows of ``X[rows_slice]`` against the rows of Y.
 
-        Built in place, in row blocks of at most ``_CHUNK_BYTES``: squared
-        distances summed over the coordinates left to right, then negated,
-        divided by ``2 l^2`` and exponentiated.  For d <= 7 each entry has
-        the bits of ``exp(-((X[:, None] - Y[None]) ** 2).sum(axis=2) / (2 l^2))``,
-        whose sum of fewer than 8 terms also runs left to right; from d = 8
-        numpy sums pairwise and the last bits can differ.  The matrix is
-        written into ``out`` when it is given, and the row blocks use
-        ``scratch`` from :meth:`eval_scratch` when it is given, so a caller
-        filling many matrices can allocate both once.
+        Each block is the squared distances of :func:`_sq_dist_blocks`,
+        negated, divided by ``2 l^2`` and exponentiated in place; ``K`` is a
+        view of ``out``'s rows when ``out`` is given, else one block that
+        every block reuses.  Every entry is elementwise, so its bits do not
+        depend on ``rows``.  For d <= 7 they are those of
+        ``exp(-((X[:, None] - Y[None]) ** 2).sum(axis=2) / (2 l^2))``, whose
+        sum of fewer than 8 terms also runs left to right; from d = 8 numpy
+        sums pairwise and the last bits can differ.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        if out is None:
-            out = np.empty((X.shape[0], Y.shape[0]))
-        rows = _block_rows(Y.shape[0])
-        Yt = np.ascontiguousarray(Y.T)
-        if scratch is None:
-            # _sq_dists touches scratch only from the second coordinate on,
-            # so 1-D points need no scratch block and pass the output instead
-            scratch = self.eval_scratch(X.shape[0], Y)
-            if scratch is None:
-                scratch = out
-        for i in range(0, X.shape[0], rows):
-            blk = out[i:i + rows]
-            _sq_dists(X[i:i + rows], Yt, blk, scratch[:blk.shape[0]])
-            np.negative(blk, out=blk)
-            np.divide(blk, 2.0 * self.lengthscale**2, out=blk)
-            np.exp(blk, out=blk)
-        return out
+        for blk, K in _sq_dist_blocks(X, Y, rows, out):
+            np.negative(K, out=K)
+            np.divide(K, 2.0 * self.lengthscale**2, out=K)
+            np.exp(K, out=K)
+            yield blk, K
 
-    @staticmethod
-    def eval_scratch(n_rows: int, Y: Array):
-        """The scratch block :meth:`eval_matrix` needs for up to ``n_rows`` rows
-        against the rows of ``Y``; None for 1-D points, which need none."""
-        Y = np.atleast_2d(Y)
-        if Y.shape[1] == 1:
-            return None
-        return np.empty((min(_block_rows(Y.shape[0]), n_rows), Y.shape[0]))
+    def eval_matrix(self, X: Array, Y: Array) -> Array:
+        """Pairwise kernel matrix for rows of X against rows of Y, filled by
+        :meth:`eval_blocks` in blocks of at most ``_CHUNK_BYTES``."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        out = np.empty((X.shape[0], Y.shape[0]))
+        for _ in self.eval_blocks(X, Y, block_rows(Y.shape[0]), out):
+            pass
+        return out
 
     def grad_x(self, x: Array, y: Array) -> Array:
         """Gradient in the first argument."""
@@ -248,24 +246,15 @@ def fill_distance(grid, domain: Domain, n_probe: int = 100_000) -> float:
 
     Uses a quasi-random probe set plus the box corners (for moderate
     dimension), so the value is a slight underestimate of the true supremum.
-    Squared distances are taken in probe blocks of at most ``_CHUNK_BYTES``,
-    all in one buffer pair.
+    Squared distances are taken in probe blocks of at most ``_CHUNK_BYTES``.
     """
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    n = pts.shape[0]
-    if n == 0:
+    if pts.shape[0] == 0:
         raise ValueError("grid must be non-empty")
     probes = halton_points(domain, n_probe)
     if 2**domain.dim <= 4096:
         probes = np.vstack([probes, tensor_points(domain.lower, domain.upper, 2)])
-    rows = min(_block_rows(n), probes.shape[0])
-    pts_t = np.ascontiguousarray(pts.T)
-    buf, scratch = np.empty(rows * n), np.empty(rows * n)
     best = 0.0
-    for i in range(0, probes.shape[0], rows):
-        blk = probes[i:i + rows]
-        shape = (blk.shape[0], n)
-        size = shape[0] * n
-        d2 = _sq_dists(blk, pts_t, buf[:size].reshape(shape), scratch[:size].reshape(shape))
+    for _, d2 in _sq_dist_blocks(probes, pts, block_rows(len(pts))):
         best = max(best, float(np.sqrt(d2.min(axis=1).max())))
     return best

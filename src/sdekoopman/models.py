@@ -153,7 +153,12 @@ class EigenPair:
         w = np.asarray(self.left_eigenvector, dtype=float)
         if w.ndim != 1 or np.linalg.norm(w) == 0.0:
             raise ValueError("left_eigenvector must be a nonzero vector")
-        object.__setattr__(self, "eigenvalue", float(self.eigenvalue))
+        if not np.all(np.isfinite(w)):
+            raise ValueError(f"left_eigenvector must be finite, got {w.tolist()}")
+        lam = float(self.eigenvalue)
+        if not np.isfinite(lam):
+            raise ValueError(f"eigenvalue must be finite, got {lam!r}")
+        object.__setattr__(self, "eigenvalue", lam)
         object.__setattr__(self, "left_eigenvector", w)
 
 

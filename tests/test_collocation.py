@@ -269,6 +269,21 @@ class TestSolve:
         assert res.max <= 1e-8
 
 
+def record_kernel_blocks(monkeypatch):
+    """The buffer behind each block :meth:`GaussianKernel.eval_blocks` yields,
+    in order, recorded while the caller runs."""
+    buffers = []
+    eval_blocks = GaussianKernel.eval_blocks
+
+    def record(self, X, Y, rows, out=None):
+        for blk, K in eval_blocks(self, X, Y, rows, out):
+            buffers.append(K.base if K.base is not None else K)
+            yield blk, K
+
+    monkeypatch.setattr(GaussianKernel, "eval_blocks", record)
+    return buffers
+
+
 class TestSolutionEvaluation:
     def test_zero_coefficients_zero_h(self, ou_setup):
         s = ou_setup
@@ -325,8 +340,8 @@ class TestSolutionEvaluation:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_eval_h_reuses_one_block(self, monkeypatch, dim):
         # a cap of 512 rows of the 30 nodes makes 1100 rows three chunks; each
-        # fills the same kernel block and scratch, and the values keep the
-        # bits of one full kernel matrix
+        # fills the same kernel block, and the values keep the bits of one
+        # full kernel matrix
         import sdekoopman.kernels as kernels
         monkeypatch.setattr(kernels, "_CHUNK_BYTES", 512 * 8 * 30)
         rng = np.random.default_rng(dim)
@@ -335,19 +350,11 @@ class TestSolutionEvaluation:
                                   kernel=GaussianKernel(0.7),
                                   eigenpair=get_model("linear2d" if dim == 2 else "ou").eigenpair)
         xs = rng.uniform(-1.5, 1.5, (1100, dim))
-        buffers = []
-        eval_matrix = GaussianKernel.eval_matrix
-
-        def record(self, X, Y, out=None, scratch=None):
-            buffers.append((out.base if out.base is not None else out, scratch))
-            return eval_matrix(self, X, Y, out=out, scratch=scratch)
-
-        monkeypatch.setattr(GaussianKernel, "eval_matrix", record)
+        buffers = record_kernel_blocks(monkeypatch)
         got = sol.eval_h(xs)
         monkeypatch.undo()
         assert len(buffers) == 3
-        assert all(b[0] is buffers[0][0] and b[1] is buffers[0][1] for b in buffers)
-        assert (buffers[0][1] is None) == (dim == 1)
+        assert all(b is buffers[0] for b in buffers)
         full = GaussianKernel(0.7).eval_matrix(xs, grid.points)
         want = np.concatenate([full[i:i + 512] @ sol.coefficients
                                for i in range(0, 1100, 512)])
@@ -452,19 +459,15 @@ class TestResidualBlocks:
 
     def test_reuses_one_block(self, monkeypatch):
         s, sol = _model_solution("linear2d")
+        pts = residual_test_points(s.domain)
+        want = _whole_residual(sol, s.system, pts)
         monkeypatch.setattr(collocation, "_eval_rows", lambda n_cols: 96)
-        buffers = []
-        eval_matrix = GaussianKernel.eval_matrix
-
-        def record(self, X, Y, out=None, scratch=None):
-            buffers.append((out.base if out.base is not None else out, scratch))
-            return eval_matrix(self, X, Y, out=out, scratch=scratch)
-
-        monkeypatch.setattr(GaussianKernel, "eval_matrix", record)
-        pde_residual(sol, s.system, residual_test_points(s.domain))
+        buffers = record_kernel_blocks(monkeypatch)
+        got = pde_residual(sol, s.system, pts)
         assert len(buffers) == 5  # 400 points in blocks of 96
-        assert all(b[0] is buffers[0][0] and b[1] is buffers[0][1] for b in buffers)
-        assert buffers[0][0].shape == (96, 225)
+        assert all(b is buffers[0] for b in buffers)
+        assert buffers[0].shape == (96, 225)
+        assert np.array_equal(got.per_point.view(np.uint64), want.view(np.uint64))
 
     def test_memory_is_one_block(self, linear2d_setup, tracemalloc_peak):
         # the whole-matrix formula held the (400, 1600, 2) difference tensor
@@ -783,7 +786,7 @@ class TestBlockedAssembly:
         if dim > 1:  # gamma I must reach the off-diagonal -0.0 entries too
             K, L, D, M = expected
             assert np.signbit((L + D - pair.eigenvalue * K)[M == 0]).any()
-        monkeypatch.setattr(collocation, "_block_rows", lambda n_cols: rows)
+        monkeypatch.setattr(collocation, "block_rows", lambda n_cols: rows)
         asys = assemble(system, decomp, pair, kern, grid, 1e-4)
         got = (asys.gram, asys.drift_mat, asys.diff_mat, asys.system_matrix)
         for mat, want in zip(got, expected):

@@ -92,6 +92,60 @@ class TestEvalMatrixChunks:
                            rtol=1e-14, atol=0.0)
 
 
+def drain(blocks):
+    """Run a row-block pass to its end."""
+    for _ in blocks:
+        pass
+
+
+class TestRowBlocks:
+    """The one row-block pass against the whole-array formulas, bit for bit."""
+
+    @pytest.mark.parametrize("with_out", [False, True])
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_blocks_equal_whole_array_bits(self, dim, rows, with_out):
+        # 30 rows leave a ragged last block of 2 at 7 rows; the default
+        # takes all 30 in one block
+        gen = np.random.default_rng(10 + dim)
+        X = gen.uniform(-2.0, 2.0, (30, dim))
+        Y = gen.uniform(-2.0, 2.0, (11, dim))
+        rows = kernels.block_rows(Y.shape[0]) if rows is None else rows
+        k = GaussianKernel(0.7)
+        whole = {"sq": ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2),
+                 "kern": one_shot_matrix(k, X, Y)}
+        passes = {"sq": lambda out: kernels._sq_dist_blocks(X, Y, rows, out),
+                  "kern": lambda out: k.eval_blocks(X, Y, rows, out)}
+        for name, run in passes.items():
+            out = np.empty((30, 11)) if with_out else None
+            got, bases, n_blocks = np.full((30, 11), np.nan), set(), 0
+            for blk, B in run(out):
+                assert B.shape == (len(X[blk]), 11)
+                got[blk] = B
+                bases.add(id(B.base))
+                n_blocks += 1
+            assert n_blocks == -(-30 // rows)
+            assert np.array_equal(got.view(np.uint64), whole[name].view(np.uint64))
+            if with_out:  # every block is a view of out's own rows
+                assert bases == {id(out)}
+                assert np.array_equal(out.view(np.uint64), whole[name].view(np.uint64))
+            else:  # every block reuses one buffer
+                assert len(bases) == 1
+
+    def test_one_dimensional_points_need_no_scratch(self, tracemalloc_peak):
+        # into a given out, 1-D points allocate no block of 100 x 500 floats
+        # (400 kB); 2-D points add one scratch block and the transposed Y.
+        # numpy's ufunc loops take about 130 kB of their own either way
+        gen = np.random.default_rng(5)
+        peaks = {}
+        for dim in (1, 2):
+            X, Y = gen.uniform(size=(300, dim)), gen.uniform(size=(500, dim))
+            out = np.empty((300, 500))
+            peaks[dim] = tracemalloc_peak(drain, kernels._sq_dist_blocks(X, Y, 100, out))
+        assert peaks[1] < 8 * 100 * 500
+        assert peaks[2] - peaks[1] >= 8 * 100 * 500
+
+
 class TestDerivatives:
     def test_grad_zero_at_coincident(self):
         k = GaussianKernel(1.3)
@@ -329,10 +383,21 @@ class TestFillDistance:
         extra = np.vstack([base, gen.uniform(-1, 1, size=(10, 2))])
         assert fill_distance(extra, dom, n_probe=5000) <= fill_distance(base, dom, n_probe=5000)
 
+    @pytest.mark.parametrize("lower, upper, n_axis, n_probe, want", [
+        ([-2.5], [2.5], 40, 100_000, "0x1.0690690690680p-4"),
+        ([-1.0, -0.5], [1.0, 1.5], 7, 5000, "0x1.dfd716ed94206p-3"),
+    ])
+    def test_value_pinned(self, lower, upper, n_axis, n_probe, want):
+        # the fill distance of a fixed tensor grid, pinned bit for bit; both
+        # probe sets end in a ragged block
+        dom = Domain(lower=lower, upper=upper)
+        grid = tensor_points(dom.lower, dom.upper, n_axis)
+        assert fill_distance(grid, dom, n_probe=n_probe).hex() == want
+
     def test_memory_is_one_block(self, tracemalloc_peak):
-        # the probes, their copy with the corners and one buffer pair of
-        # _CHUNK_BYTES each: 0.9 MiB measured; one (20000, 900) distance
-        # matrix alone would take 137 MiB
+        # the probes, their copy with the corners, one block and one scratch
+        # block of _CHUNK_BYTES each: 0.9 MiB measured; one (20000, 900)
+        # distance matrix alone would take 137 MiB
         dom = Domain(lower=[-1.0, -1.0], upper=[1.0, 1.0])
         fill_distance(np.zeros((1, 2)), dom, n_probe=10)  # import scipy's qmc untraced
         grid = tensor_points(dom.lower, dom.upper, 30)

@@ -238,6 +238,18 @@ class TestLeftEigenpair:
         with pytest.raises(ValueError):
             EigenPair(eigenvalue=-1.0, left_eigenvector=np.zeros(2))
 
+    @pytest.mark.parametrize("lam, w, what", [
+        (float("nan"), [1.0], "eigenvalue"),
+        (float("inf"), [1.0], "eigenvalue"),
+        (-float("inf"), [1.0], "eigenvalue"),
+        (-1.0, [float("nan")], "left_eigenvector"),
+        (-1.0, [1.0, float("inf")], "left_eigenvector"),
+    ])
+    def test_non_finite_pair_rejected(self, lam, w, what):
+        # a nan or inf pair made FK return nan and the solve fail in LAPACK
+        with pytest.raises(ValueError, match=f"{what} must be finite"):
+            EigenPair(eigenvalue=lam, left_eigenvector=np.array(w))
+
 
 class TestDiffusionTensor:
     def test_scalar_value(self, ou_setup):

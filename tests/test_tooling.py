@@ -1,6 +1,8 @@
 """The benchmark's tracing hooks find every name they wrap in the package,
-the import path stays light, and the README names only files that exist."""
+the import path stays light, no module imports another's private names, and
+the README names only files that exist."""
 
+import ast
 import os
 import re
 import subprocess
@@ -155,6 +157,18 @@ def test_traced_cli_records_library_spans(tmp_path):
                           cwd=ROOT / "bench", env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_private_names_imported_across_modules():
+    # a name with a leading underscore belongs to its own module; another
+    # module that needs it asks for a public name (``x as _x`` is fine)
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+    assert not found, found
 
 
 def test_readme_paths_exist():

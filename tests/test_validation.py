@@ -10,7 +10,7 @@ from sdekoopman import (Domain, EigenPair, FkConfig, GaussianKernel,
                         solve_system)
 import sdekoopman.validation as validation
 from sdekoopman.cli import _report_csv
-from sdekoopman.collocation import GridSpec, save_solution
+from sdekoopman.collocation import GridSpec, assemble, condition_number, save_solution
 from sdekoopman.models import SdeSystem, linearize
 from sdekoopman.registry import constant_diffusion, get_model
 from sdekoopman.validation import (ExperimentReport, boundary_points,
@@ -196,6 +196,20 @@ class TestConditioningSweep:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
             conditioning_sweep([-0.1], fk=SMALL_FK)
+
+    def test_spikes_either_side_of_the_reference_levels(self):
+        # the quadratic preset as it stands (N = 50, l = 0.8, gamma = 1e-4):
+        # cond is 1.336e7 at sigma = 0.2, 1.028e6 at 0.5 and 8.353e7 at 1.0,
+        # 13.0x and 81.2x the value at 0.5 (ROADMAP item 9(a))
+        cond = {}
+        for sigma in (0.2, 0.5, 1.0):
+            s = get_model("quadratic", sigma=sigma)
+            assert (s.grid_spec.n, s.lengthscale, s.gamma) == (50, 0.8, 1e-4)
+            asys = assemble(s.system, s.decomp, s.eigenpair, GaussianKernel(s.lengthscale),
+                            make_grid(s.domain, s.grid_spec), s.gamma)
+            cond[sigma] = condition_number(asys.system_matrix)
+        assert cond[0.2] > 10 * cond[0.5]
+        assert cond[1.0] > 10 * cond[0.5]
 
     def test_every_level_checked_before_any_row(self, monkeypatch):
         solved = []
