@@ -331,12 +331,7 @@ def cmd_sweep(args) -> int:
     sigmas = _floats(args.sigmas, "--sigmas")
     if not sigmas:
         raise errors.ConfigError("--sigmas must contain at least one value")
-    validation.check_sigmas(sigmas)  # before the rows, which a bad level would waste
-
-    # a row's cost is mostly its semigroup check
-    rows = workers.map_in_workers(
-        lambda sigma: validation.sweep_row(sigma, fk=fk, seed=seed), sorted(sigmas),
-        args.threads, len(sigmas) * validation.semigroup_path_steps(fk))
+    rows = validation.conditioning_sweep(sigmas, fk=fk, seed=seed, workers=args.threads)
     out = _outdir(args, cfg)
     _write(os.path.join(out, "sweep.csv"), _report_csv(rows))
     print(validation.format_table(rows))

@@ -75,6 +75,8 @@ class CollocationGrid:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        if pts.ndim != 2 or 0 in pts.shape:
+            raise ValueError(f"grid points must have shape (N, d), N, d >= 1, got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("grid points must be finite")
         close = first_close_pair(pts, 1e-12)
@@ -344,6 +346,7 @@ def residual_test_points(domain: Domain, expand: float = 0.25,
 #
 # Schema, in this key order (arrays as nested lists):
 #   lengthscale, lambda, w, gamma, grid, coefficients   -- always present
+#   equilibrium                                         -- when x* != 0
 #   gram, drift, diffusion, source                      -- when assembled
 #     system is attached
 
@@ -359,6 +362,7 @@ def _solution_fields(sol: CollocationSolution,
         ("grid", sol.grid.points),
         ("coefficients", sol.coefficients),
     ]
+    fields += [("equilibrium", sol.equilibrium)] if np.any(sol.equilibrium) else []
     if asys is not None:
         fields += [("gram", asys.gram), ("drift", asys.drift_mat),
                    ("diffusion", asys.diff_mat), ("source", asys.source)]
@@ -381,6 +385,7 @@ def solution_from_json_dict(doc: dict) -> CollocationSolution:
         kernel=GaussianKernel(lengthscale=float(doc["lengthscale"])),
         eigenpair=EigenPair(eigenvalue=float(doc["lambda"]),
                             left_eigenvector=np.asarray(doc["w"], dtype=float)),
+        equilibrium=doc.get("equilibrium"),
     )
 
 

@@ -425,7 +425,8 @@ def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     the number of workers.
     """
     workers = worker_count(workers)
-    pts = np.atleast_2d(np.asarray(query_points, dtype=float))
+    pts = np.asarray(query_points, dtype=float)
+    pts = pts.reshape(0, system.dim_state) if pts.shape == (0,) else np.atleast_2d(pts)
     out = [None] * len(pts)
     valid = []
     for i, x in enumerate(pts):

@@ -47,6 +47,9 @@ def _sq_dist_blocks(A: Array, B: Array, rows: int, out=None):
     that every block reuses, so a caller keeps no ``D`` past its step.  One
     scratch block serves all blocks; 1-D points need none.
     """
+    if not A.shape[1] == B.shape[1] > 0:
+        raise ValueError(f"point sets must have the same positive number of coordinates, "
+                         f"got shapes {A.shape} and {B.shape}")
     n, m = A.shape[0], B.shape[0]
     Bt = np.ascontiguousarray(B.T)
     size = min(rows, n)

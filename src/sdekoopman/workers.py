@@ -3,9 +3,9 @@
 :func:`in_workers` runs each group after the first in a child made with
 ``os.fork``, which sends its values back pickled over a pipe, and the first
 group in the calling process.  :func:`map_in_workers` deals a list of items
-to such groups round-robin.  ``fk_batch`` deals its queries this way, the
-``reproduce`` and ``sweep`` commands their experiments and noise levels, all
-forking as many workers as the one rule of :func:`fork_count` allows.
+to such groups round-robin.  ``fk_batch`` deals its queries this way,
+``reproduce`` its experiments and ``conditioning_sweep`` its noise levels,
+all forking as many workers as the one rule of :func:`fork_count` allows.
 ``multiprocessing`` is not used: the model callables are closures, which do
 not pickle, and it starts helper threads.
 """

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,12 @@ class TestMakeGrid:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="coincide"):
             CollocationGrid(points=np.array([[0.0], [1.0], [0.0]]))
+
+    @pytest.mark.parametrize("shape", [(0, 2), (3, 0), (0, 0)])
+    def test_empty_point_set_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^grid points must have shape \(N, d\), "
+                                             r"N, d >= 1, got " + re.escape(str(shape)) + "$"):
+            CollocationGrid(points=np.empty(shape))
 
     def test_near_coincident_pair_in_2d_rejected(self):
         pts = make_grid(Domain(lower=[0.0, 0.0], upper=[1.0, 1.0]),
@@ -576,6 +583,26 @@ class TestSerialization:
         slim = solution_to_json_dict(sol)
         assert set(slim) == {"lengthscale", "lambda", "w", "gamma", "grid",
                              "coefficients"}
+
+    def test_nonzero_equilibrium_survives_save_and_load(self, tmp_path):
+        # phi = w (x - x*) + h: a reader that drops x* = 1 is off by w x* = 1
+        sys1 = SdeSystem(dim_state=1, dim_noise=1, drift=lambda x: -(x - 1.0),
+                         diffusion_factor=constant_diffusion(np.array([[0.3]])),
+                         equilibrium=np.array([1.0]))
+        dec = linearize(sys1, a_matrix=np.array([[-1.0]]))
+        from sdekoopman.models import left_eigenpair
+        grid = make_grid(Domain(lower=[-1.0], upper=[3.0]), GridSpec("uniform_1d", 20))
+        sol, asys, _ = solve_system(sys1, dec, left_eigenpair(dec, which=-1.0),
+                                    GaussianKernel(1.0), grid, 1e-4)
+        path = tmp_path / "solution.json"
+        save_solution(path, sol, asys)
+        assert list(json.loads(path.read_text()))[5:8] == ["coefficients", "equilibrium",
+                                                           "gram"]
+        restored = load_solution(path)
+        xs = np.linspace(-0.9, 2.9, 17)[:, None]
+        assert np.array_equal(restored.eval_phi(xs).view(np.uint64),
+                              sol.eval_phi(xs).view(np.uint64))
+        assert np.array_equal(restored.equilibrium, [1.0])
 
     def test_matrices_survive_round_trip(self, quadratic_solution):
         _, asys, _ = quadratic_solution

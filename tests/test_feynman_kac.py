@@ -244,6 +244,14 @@ class TestFkBatch:
                         [[0.1], [-0.4], [0.9]], cfg)
         assert all(e.value == 0.0 and e.std_error == 0.0 for e in ests)
 
+    @pytest.mark.parametrize("queries", [[], np.empty(0), np.empty((0, 1))],
+                             ids=["list", "1d", "2d"])
+    def test_no_queries_no_estimates(self, ou_setup, queries):
+        # an empty list is no queries, not one query of shape (0,)
+        s = ou_setup
+        assert fk_batch(s.system, s.decomp, s.eigenpair, s.domain, queries,
+                        FkConfig(n_paths=20, t_max=1.0, seed=2)) == []
+
     def test_exterior_point_flagged_not_fatal(self, ou_setup):
         s = ou_setup
         cfg = FkConfig(n_paths=20, t_max=1.0, seed=2)

@@ -132,6 +132,22 @@ class TestRowBlocks:
             else:  # every block reuses one buffer
                 assert len(bases) == 1
 
+    def test_point_sets_of_different_width_rejected(self):
+        # every pairwise pass compares all coordinates or refuses: a pass over
+        # A's columns alone would compare a 1-D point with 2-D nodes by x1
+        k, grid = GaussianKernel(1.0), np.array([[0.0, 0.0], [0.5, 1.0]])
+        line = np.array([[0.0], [1.0]])
+        calls = {"eval_matrix": lambda: k.eval_matrix(line, grid),
+                 "eval_matrix swapped": lambda: k.eval_matrix(grid, line),
+                 "first_close_pair": lambda: kernels.first_close_pair(np.empty((3, 0)), 1e-12),
+                 "power_function": lambda: power_function(k, grid, np.array([0.0])),
+                 "fill_distance": lambda: fill_distance(grid, Domain([-1.0], [1.0]), 100)}
+        for call in calls.values():
+            with pytest.raises(ValueError, match=r"same positive number of coordinates, "
+                                                 r"got shapes \(\d+, [0-2]\) and "
+                                                 r"\(\d+, [0-2]\)$"):
+                call()
+
     def test_one_dimensional_points_need_no_scratch(self, tracemalloc_peak):
         # into a given out, 1-D points allocate no block of 100 x 500 floats
         # (400 kB); 2-D points add one scratch block and the transposed Y.

@@ -1,6 +1,6 @@
 """The benchmark's tracing hooks find every name they wrap in the package,
-the import path stays light, no module imports another's private names, and
-the README names only files that exist."""
+the import path stays light, every public name resolves, no module imports
+another's private names, and the README names only files that exist."""
 
 import ast
 import os
@@ -157,6 +157,21 @@ def test_traced_cli_records_library_spans(tmp_path):
                           cwd=ROOT / "bench", env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve_through_the_lazy_table():
+    # the package loads each public name from the module _EXPORTS names on
+    # first use, so a name deleted or moved there fails only when read
+    import importlib
+
+    import sdekoopman
+
+    assert sdekoopman.__all__ == sorted(sdekoopman._EXPORTS)
+    for name in sdekoopman.__all__:
+        module = importlib.import_module(f"sdekoopman.{sdekoopman._EXPORTS[name]}")
+        obj = getattr(sdekoopman, name)
+        assert obj is getattr(module, name), name
+        assert getattr(obj, "__module__", module.__name__) == module.__name__, name
 
 
 def test_no_private_names_imported_across_modules():

@@ -9,6 +9,7 @@ from sdekoopman import (Domain, EigenPair, FkConfig, GaussianKernel,
                         run_experiment, semigroup_check, semigroup_curve,
                         solve_system)
 import sdekoopman.validation as validation
+import sdekoopman.workers as workers_module
 from sdekoopman.cli import _report_csv
 from sdekoopman.collocation import GridSpec, assemble, condition_number, save_solution
 from sdekoopman.models import SdeSystem, linearize
@@ -219,6 +220,37 @@ class TestConditioningSweep:
                                              "nonnegative, got nan$"):
             conditioning_sweep([0.3, float("nan")], fk=SMALL_FK)
         assert solved == []
+
+    def test_first_bad_level_in_input_order_raised_before_any_row(self, monkeypatch):
+        # sorted, -1.0 would come first; the check goes in input order
+        solved = []
+        monkeypatch.setattr(validation, "solve_and_report",
+                            lambda setup, *args, **kwargs: solved.append(setup) or (None,) * 3)
+        with pytest.raises(ValueError, match="got inf$"):
+            conditioning_sweep([0.3, float("inf"), -1.0], fk=SMALL_FK, workers=2)
+        assert solved == []
+
+    def test_workers_fork_and_keep_every_report(self, forks, monkeypatch):
+        # with the fork bound lowered, the default forks nothing and two
+        # workers split three levels with one fork
+        monkeypatch.setattr(workers_module, "_FORK_MIN_PATH_STEPS", 1)
+        here = conditioning_sweep([0.5, 0, 0.3], fk=SMALL_FK)
+        assert forks == []
+        assert conditioning_sweep([0.5, 0, 0.3], fk=SMALL_FK, workers=2) == here
+        assert len(forks) == 1
+        assert [r.label for r in here] == [f"quadratic sigma={s}" for s in ("0", "0.3", "0.5")]
+
+    def test_test2_sweeps_in_the_calling_process(self, forks, monkeypatch):
+        # a reproduce worker runs test2, and must not fork again however
+        # heavy its rows are
+        monkeypatch.setattr(workers_module, "_FORK_MIN_PATH_STEPS", 1)
+        monkeypatch.setattr(validation, "solve_and_report",
+                            lambda setup, *args, **kwargs: (None, None, ExperimentReport(
+                                setup.system.label, None, None, None, None, None)))
+        rows = run_experiment("test2_quadratic")
+        assert [r.label for r in rows] == ["quadratic sigma=0", "quadratic sigma=0.3",
+                                           "quadratic sigma=0.5"]
+        assert forks == []
 
 
 class TestRunExperiment:
