@@ -30,14 +30,6 @@ Array = np.ndarray
 GRID_KINDS = ("uniform_1d", "tensor", "sobol")
 
 
-def _eval_rows(n_cols: int) -> int:
-    """Rows of evaluation points taken at once: the largest multiple of 4 whose
-    (rows, n_cols) float block fits in ``_CHUNK_BYTES``, and at least 4.  gemv
-    rounds rows in groups of 4, so each block's products with the
-    coefficients keep the bits of the whole-matrix product."""
-    return max(4, block_rows(n_cols) // 4 * 4)
-
-
 def _eval_points(x, dim: int) -> Array:
     """``x`` as an (n, dim) float array of points; a ValueError names its shape
     when the points are not ``dim`` wide."""
@@ -142,9 +134,9 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     :func:`_half_trace_term`: exact for any sigma, singular included, and
     D = 0 exactly when sigma vanishes.
 
-    K, L, D and M are filled in one pass of row blocks whose (rows, N, d)
-    difference tensor stays within ``block_rows``' cap, so beyond the four
-    N x N matrices only one block's temporaries are held.  Each entry is the
+    K, L, D and M are filled in one pass of :func:`kernels.block_rows` row
+    blocks of the (rows, N, d) difference tensor, so beyond the four N x N
+    matrices only one block's temporaries are held.  Each entry is the
     expression of the whole-matrix formula, in the same order.
     """
     if not np.isfinite(gamma):
@@ -224,7 +216,8 @@ def solve(asys: AssembledSystem, condition: bool = True):
 class CollocationSolution:
     """Kernel expansion of the nonlinear correction h, with phi = w^T (x - x*) + h.
 
-    The equilibrium ``x*`` defaults to the origin.
+    The equilibrium ``x*`` defaults to the origin; it must be a finite
+    ``grid.dim``-vector.
     """
 
     coefficients: Array
@@ -241,19 +234,23 @@ class CollocationSolution:
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "coefficients", alpha)
         eq = np.zeros(self.grid.dim) if self.equilibrium is None else self.equilibrium
-        object.__setattr__(self, "equilibrium", np.asarray(eq, dtype=float))
+        eq = np.asarray(eq, dtype=float)
+        if eq.shape != (self.grid.dim,) or not np.all(np.isfinite(eq)):
+            raise ValueError(f"equilibrium must be a finite vector of length {self.grid.dim}, "
+                             f"got {self.equilibrium!r}")
+        object.__setattr__(self, "equilibrium", eq)
 
     def eval_h(self, x: Array):
         """Nonlinear correction ``h(x) = sum_j alpha_j k(x, x_j)``; batched.
 
-        The kernel rows are formed :func:`_eval_rows` at a time, in one block
-        that :meth:`GaussianKernel.eval_blocks` reuses.  Points that are not
+        The kernel rows are formed :func:`kernels.block_rows` at a time, in one
+        block that :meth:`GaussianKernel.eval_blocks` reuses.  Points that are not
         ``grid.dim`` wide raise ValueError.
         """
         X = _eval_points(x, self.grid.dim)
         centres = self.grid.points
         vals = np.empty(X.shape[0])
-        for blk, K in self.kernel.eval_blocks(X, centres, _eval_rows(len(centres))):
+        for blk, K in self.kernel.eval_blocks(X, centres, block_rows(len(centres))):
             vals[blk] = K @ self.coefficients
         return float(vals[0]) if np.ndim(x) == 1 else vals
 
@@ -296,7 +293,7 @@ def pde_residual(sol: CollocationSolution, system: SdeSystem, test_points) -> Re
 
     G and sigma are evaluated once on all points; the kernel rows, the
     difference tensor and the Hessian-trace term are formed in blocks of
-    :func:`_eval_rows` points, whose (rows, N, d) tensor fits in
+    :func:`kernels.block_rows` points, whose (rows, N, d) tensor fits in
     ``_CHUNK_BYTES``, into one kernel block that
     :meth:`GaussianKernel.eval_blocks` reuses for all of them.  Each
     value has the bits of the whole-matrix formula.  Raises ValueError when
@@ -319,7 +316,7 @@ def pde_residual(sol: CollocationSolution, system: SdeSystem, test_points) -> Re
     N, d = nodes.shape
     linear = small_matmul(X - sol.equilibrium, w)
     r = np.empty(X.shape[0])
-    for blk, K in sol.kernel.eval_blocks(X, nodes, _eval_rows(N * d)):
+    for blk, K in sol.kernel.eval_blocks(X, nodes, block_rows(N * d)):
         diff = X[blk, None, :] - nodes[None, :, :]
         grad_phi = w[None, :] - np.einsum("njd,nj,j->nd", diff, K, alpha) / l2
         phi = linear[blk] + K @ alpha
@@ -389,14 +386,6 @@ def solution_from_json_dict(doc: dict) -> CollocationSolution:
     )
 
 
-# Entries of an array that the writer spells at once, in whole leading-axis
-# rows (20 rows of a 1600-column matrix, 145 of a 225 x 225 one), so memory
-# stays O(block).  On solve at N = 1600 (linear2d, 2 vCPUs), 2**14- and
-# 2**15-entry blocks peaked at 146.2 MB, 2**16 at 147.9 MB and 2**17 at
-# 152.5 MB, with run_s within the run-to-run spread.
-_JSON_BLOCK = 1 << 15
-
-
 def _small_repr(m) -> bytes:
     """``d.xxe-05`` for orjson's ``0.0000dxx``, unless the match is the tail
     of a larger number's digits."""
@@ -432,15 +421,15 @@ def _json_items(blk: Array) -> bytes:
 
 
 def _json_array_chunks(a: Array):
-    """Yield the bytes of ``json.dumps(a.tolist())``, in blocks of whole
-    leading-axis rows of at most ``_JSON_BLOCK`` entries (see
-    :func:`_json_items`).
+    """Yield the bytes of ``json.dumps(a.tolist())``, in blocks of
+    :func:`kernels.block_rows` whole leading-axis rows (see :func:`_json_items`):
+    20 rows of a 1600-column matrix.
 
     Beyond the array it holds one block's text and its respellings, so the
     N x N matrices of an assembled system are written in O(block) memory.
     """
     a = np.ascontiguousarray(a)
-    rows = max(1, _JSON_BLOCK // max(1, a[0].size)) if len(a) else 1
+    rows = block_rows(int(np.prod(a.shape[1:])))
     yield b"["
     for i in range(0, len(a), rows):
         yield (b", " if i else b"") + _json_items(a[i:i + rows])

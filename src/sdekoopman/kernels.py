@@ -34,8 +34,11 @@ _CHUNK_BYTES = 256 << 10
 
 
 def block_rows(n_cols: int) -> int:
-    """Rows of an (rows, n_cols) float block that fit in ``_CHUNK_BYTES``."""
-    return max(1, _CHUNK_BYTES // max(1, 8 * n_cols))
+    """Rows of every row block: the largest multiple of 4 whose (rows, n_cols)
+    float block fits in ``_CHUNK_BYTES``, and at least 4.  gemv rounds rows in
+    groups of 4, so a block's product with a vector keeps the bits of the
+    whole-matrix product."""
+    return max(4, _CHUNK_BYTES // max(1, 8 * n_cols) // 4 * 4)
 
 
 def _sq_dist_blocks(A: Array, B: Array, rows: int, out=None):
@@ -97,13 +100,13 @@ def _pair(x, y):
 
 @dataclass(frozen=True)
 class GaussianKernel:
-    """Isotropic Gaussian kernel with lengthscale ``lengthscale > 0``."""
+    """Isotropic Gaussian kernel with a finite lengthscale ``lengthscale > 0``."""
 
     lengthscale: float
 
     def __post_init__(self):
-        if not self.lengthscale > 0:
-            raise ValueError("lengthscale must be positive")
+        if not 0 < self.lengthscale < np.inf:
+            raise ValueError(f"lengthscale must be positive and finite, got {self.lengthscale!r}")
         object.__setattr__(self, "lengthscale", float(self.lengthscale))
 
     def eval(self, x: Array, y: Array) -> float:
@@ -230,8 +233,8 @@ def power_function(kern: GaussianKernel, grid, x: Array, reg: float = 0.0) -> fl
     pts = np.atleast_2d(np.asarray(grid, dtype=float))
     if pts.shape[0] == 0:
         raise ValueError("grid must be non-empty")
-    if reg < 0:
-        raise ValueError("reg must be nonnegative")
+    if not 0 <= reg < np.inf:
+        raise ValueError(f"reg must be finite and nonnegative, got {reg!r}")
     x = np.asarray(x, dtype=float)
     K = kern.eval_matrix(pts, pts) + reg * np.eye(pts.shape[0])
     kx = kern.eval_matrix(x[None, :], pts)[0]

@@ -188,14 +188,15 @@ def solve_and_report(setup: ModelSetup, seed: int, fk: Optional[FkConfig] = None
                      metrics=ALLOWED_METRICS, write: Optional[Callable] = None):
     """Run one setup end to end; returns (solution, assembled, report).
 
-    Only the requested ``metrics`` are computed.  Without ``condition_number``
-    no SVD runs, and only ``collocation.solve``'s checks catch a singular system.
+    Only the requested ``metrics`` are computed, in the order of
+    ``ALLOWED_METRICS`` (condition number first), each into its field of
+    :class:`ExperimentReport`.  Without ``condition_number`` no SVD runs,
+    and only ``collocation.solve``'s checks catch a singular system.
 
-    With ``write``, the metrics (condition number first) run on one helper
-    thread while this thread calls ``write(solution, assembled)``; the SVD
-    and large numpy operations release the GIL.  A failing metric raises
-    after ``write`` returns, ahead of any error of ``write``, as if the
-    metrics had run first.
+    With ``write``, the metrics run on one helper thread while this thread
+    calls ``write(solution, assembled)``; the SVD and large numpy operations
+    release the GIL.  A failing metric raises after ``write`` returns, ahead
+    of any error of ``write``, as if the metrics had run first.
     """
     cfg = fk or FkConfig(n_paths=SEMIGROUP_PATHS, seed=seed)
     if "semigroup" in metrics:
@@ -209,23 +210,20 @@ def solve_and_report(setup: ModelSetup, seed: int, fk: Optional[FkConfig] = None
 
     def report():
         pts = residual_test_points(setup.domain)
-        cond = res = max_h = sg_pct = rmse = None
-        if "condition_number" in metrics:
-            cond = condition_number(asys.system_matrix)
-        if "pde_residual" in metrics:
-            res = pde_residual(sol, setup.system, pts).mean
-        if "max_abs_h" in metrics:
-            max_h = float(np.max(np.abs(sol.eval_h(pts))))
-        if "semigroup" in metrics:
-            sg = semigroup_check(setup.system, sol.eval_phi, setup.eigenpair.eigenvalue,
-                                 setup.semigroup_x0, SEMIGROUP_T, cfg)
-            sg_pct = 100.0 * sg.relative_error
-        if setup.exact_phi is not None and "rmse" in metrics:
-            rmse = rmse_vs_exact(sol.eval_phi, setup.exact_phi, pts)
-        return ExperimentReport(label=setup.system.label,
-                                condition_number=cond, pde_residual_mean=res,
-                                semigroup_error=sg_pct, rmse_vs_exact=rmse,
-                                max_abs_h=max_h)
+        # one entry per ALLOWED_METRICS key, whose order is ExperimentReport's
+        # field order; each function is looked up in this module when it runs
+        table = {
+            "condition_number": lambda: condition_number(asys.system_matrix),
+            "pde_residual": lambda: pde_residual(sol, setup.system, pts).mean,
+            "semigroup": lambda: 100.0 * semigroup_check(
+                setup.system, sol.eval_phi, setup.eigenpair.eigenvalue,
+                setup.semigroup_x0, SEMIGROUP_T, cfg).relative_error,
+            "rmse": lambda: (None if setup.exact_phi is None
+                             else rmse_vs_exact(sol.eval_phi, setup.exact_phi, pts)),
+            "max_abs_h": lambda: float(np.max(np.abs(sol.eval_h(pts)))),
+        }
+        return ExperimentReport(setup.system.label, *(table[key]() if key in metrics else None
+                                                      for key in ALLOWED_METRICS))
 
     if write is None:
         return sol, asys, report()

@@ -91,9 +91,10 @@ class TestCoincidentNodes:
     def test_matches_kdtree_oracle(self, monkeypatch, d, chunk_bytes):
         # 8 * 40 * 3 bytes is a block of 3 rows of the 40 x 40 squared
         # distances, so most planted pairs straddle blocks; the default cap
-        # takes every row in one block
+        # takes every row in one block.  block_rows would round 3 rows up to
+        # 4, so the rows are set directly
         import sdekoopman.kernels as kernels
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(kernels, "block_rows", lambda n_cols: chunk_bytes // (8 * n_cols))
         rng = np.random.default_rng(100 + d)
         for trial in range(20):
             pts = rng.uniform(-1.0, 1.0, size=(40, d))
@@ -114,7 +115,7 @@ class TestCoincidentNodes:
         # blocks of 2 rows; the first pair is reported whichever block holds
         # it, and a pair inside one block is not reported as its mirror (5, 4)
         import sdekoopman.kernels as kernels
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 8 * 8 * 2)
+        monkeypatch.setattr(kernels, "block_rows", lambda n_cols: 2)
         pts = np.arange(8.0)[:, None]
         pts[6] = pts[1]
         pts[5] = pts[4] + 1e-13
@@ -323,6 +324,30 @@ class TestSolutionEvaluation:
         line = np.array([[-0.5 * t, t] for t in np.linspace(-1, 1, 9)])
         assert np.max(np.abs(sol.eval_phi(line))) < 1e-12
 
+    @pytest.mark.parametrize("eq", [[np.nan], [np.inf], [0.0, 0.0]])
+    def test_equilibrium_is_a_finite_grid_vector(self, ou_setup, eq):
+        # NaN made phi NaN and inf made it -inf, with no error; a 2-vector on
+        # a 1-D grid raised numpy's matmul error, and only in eval_phi
+        grid = make_grid(ou_setup.domain, ou_setup.grid_spec)
+        with pytest.raises(ValueError, match="equilibrium must be a finite vector of length 1"):
+            CollocationSolution(coefficients=np.zeros(grid.n_points), grid=grid,
+                                kernel=GaussianKernel(1.0), eigenpair=ou_setup.eigenpair,
+                                equilibrium=eq)
+
+    def test_loaded_and_fitted_equilibria_are_checked(self, ou_setup, tmp_path):
+        from sdekoopman.feynman_kac import krr_fit
+
+        grid = make_grid(ou_setup.domain, ou_setup.grid_spec)
+        sol = CollocationSolution(coefficients=np.zeros(grid.n_points), grid=grid,
+                                  kernel=GaussianKernel(1.0), eigenpair=ou_setup.eigenpair)
+        path = tmp_path / "solution.json"
+        path.write_text(json.dumps(dict(solution_to_json_dict(sol), equilibrium=[np.nan])))
+        with pytest.raises(ValueError, match="equilibrium must be a finite vector"):
+            load_solution(path)
+        with pytest.raises(ValueError, match="equilibrium must be a finite vector"):
+            krr_fit(GaussianKernel(1.0), grid, np.zeros(grid.n_points), eta=1e-4,
+                    equilibrium=np.array([0.0, 1.0]))
+
     def test_quadratic_correction_is_nontrivial(self, quadratic_solution):
         sol, _, _ = quadratic_solution
         xs = np.linspace(-1.2, 1.2, 50)[:, None]
@@ -433,10 +458,10 @@ class TestResidualBlocks:
 
     def test_row_rule(self):
         # 256 KiB blocks: 20 rows of 1600 columns, 8 rows of 1600 x 2
-        assert collocation._eval_rows(1600) == 20
-        assert collocation._eval_rows(3200) == 8
-        assert collocation._eval_rows(40) == 816
-        assert collocation._eval_rows(10**6) == 4
+        assert collocation.block_rows(1600) == 20
+        assert collocation.block_rows(3200) == 8
+        assert collocation.block_rows(40) == 816
+        assert collocation.block_rows(10**6) == 4
 
     @pytest.mark.parametrize("rows", [None, 4, 8, 12])
     @pytest.mark.parametrize("name", MODELS)
@@ -446,7 +471,7 @@ class TestResidualBlocks:
         pts = residual_test_points(s.domain)
         want = _whole_residual(sol, s.system, pts)
         if rows is not None:
-            monkeypatch.setattr(collocation, "_eval_rows", lambda n_cols: rows)
+            monkeypatch.setattr(collocation, "block_rows", lambda n_cols: rows)
         got = pde_residual(sol, s.system, pts)
         assert np.array_equal(got.per_point.view(np.uint64), want.view(np.uint64))
         assert got.mean == float(want.mean()) and got.max == float(want.max())
@@ -460,7 +485,7 @@ class TestResidualBlocks:
         s, sol = _model_solution(name)
         pts = residual_test_points(s.domain)
         want = _whole_residual(sol, s.system, pts)
-        monkeypatch.setattr(collocation, "_eval_rows", lambda n_cols: rows)
+        monkeypatch.setattr(collocation, "block_rows", lambda n_cols: rows)
         got = pde_residual(sol, s.system, pts).per_point
         assert np.allclose(got, want, rtol=1e-8, atol=0.0)
 
@@ -468,7 +493,7 @@ class TestResidualBlocks:
         s, sol = _model_solution("linear2d")
         pts = residual_test_points(s.domain)
         want = _whole_residual(sol, s.system, pts)
-        monkeypatch.setattr(collocation, "_eval_rows", lambda n_cols: 96)
+        monkeypatch.setattr(collocation, "block_rows", lambda n_cols: 96)
         buffers = record_kernel_blocks(monkeypatch)
         got = pde_residual(sol, s.system, pts)
         assert len(buffers) == 5  # 400 points in blocks of 96
@@ -682,7 +707,7 @@ class TestBlockedWriter:
         grid = make_grid(s.domain, GridSpec("tensor", 6))
         sol, asys, _ = solve_system(s.system, s.decomp, s.eigenpair,
                                     GaussianKernel(s.lengthscale), grid, s.gamma)
-        monkeypatch.setattr(collocation, "_JSON_BLOCK", rows * grid.n_points)
+        monkeypatch.setattr(collocation, "block_rows", lambda n_cols: rows)
         path = tmp_path / "solution.json"
         save_solution(path, sol, asys)
         expected = json.dumps(solution_to_json_dict(sol, asys)) + "\n"
@@ -699,7 +724,7 @@ class TestBlockedWriter:
         a[4, 3] = np.nan
         a[0, :2] = [-0.0, 0.0]
         expected = json.dumps(a.tolist())
-        monkeypatch.setattr(collocation, "_JSON_BLOCK", 3 * 11)
+        monkeypatch.setattr(collocation, "block_rows", lambda n_cols: 3)
         printed, dumped = [], []
         orjson_dumps, json_dumps = orjson.dumps, json.dumps
         monkeypatch.setattr(orjson, "dumps",
@@ -755,7 +780,7 @@ class TestOrjsonSpelling:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_1d_in_ragged_blocks(self, monkeypatch, seed):
         v = _adversarial_values(np.random.default_rng(seed))
-        monkeypatch.setattr(collocation, "_JSON_BLOCK", 4099)  # ragged last block
+        monkeypatch.setattr(collocation, "block_rows", lambda n_cols: 4099)  # ragged last block
         assert len(v) % 4099
         assert _chunks_text(v) == json.dumps(v.tolist())
 
@@ -763,7 +788,7 @@ class TestOrjsonSpelling:
     def test_2d_in_row_blocks(self, monkeypatch, rows):
         v = _adversarial_values(np.random.default_rng(2))
         a = v[:len(v) // 13 * 13].reshape(-1, 13)
-        monkeypatch.setattr(collocation, "_JSON_BLOCK", rows * 13)
+        monkeypatch.setattr(collocation, "block_rows", lambda n_cols: rows)
         assert _chunks_text(a) == json.dumps(a.tolist())
 
 

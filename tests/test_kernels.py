@@ -45,6 +45,13 @@ class TestEval:
         with pytest.raises(ValueError):
             GaussianKernel(0.0)
 
+    @pytest.mark.parametrize("lengthscale", [np.inf, np.nan])
+    def test_finite_lengthscale_required(self, lengthscale):
+        # an infinite lengthscale makes every kernel entry 1: the quadratic
+        # preset then solved with cond 5.0e5 to a meaningless h(0.5) = -0.150
+        with pytest.raises(ValueError, match=f"positive and finite, got {lengthscale!r}"):
+            GaussianKernel(lengthscale)
+
     @given(vec_pair())
     def test_symmetry(self, pair):
         x, y = (np.array(v) for v in pair)
@@ -75,7 +82,7 @@ class TestEvalMatrixChunks:
         X = gen.uniform(-2.0, 2.0, (30, dim))  # 30 rows: not a multiple of 7
         Y = gen.uniform(-2.0, 2.0, (11, dim))
         k = GaussianKernel(0.7)
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES", chunk_rows * 8 * Y.shape[0])
+        monkeypatch.setattr(kernels, "block_rows", lambda n_cols: chunk_rows)
         chunked = k.eval_matrix(X, Y)
         assert chunked.shape == (30, 11)
         assert np.array_equal(chunked.view(np.uint64), one_shot_matrix(k, X, Y).view(np.uint64))
@@ -87,7 +94,7 @@ class TestEvalMatrixChunks:
         X = gen.uniform(-1.0, 1.0, (30, dim))
         Y = gen.uniform(-1.0, 1.0, (11, dim))
         k = GaussianKernel(1.5)
-        monkeypatch.setattr(kernels, "_CHUNK_BYTES", 7 * 8 * Y.shape[0])
+        monkeypatch.setattr(kernels, "block_rows", lambda n_cols: 7)
         assert np.allclose(k.eval_matrix(X, Y), one_shot_matrix(k, X, Y),
                            rtol=1e-14, atol=0.0)
 
@@ -370,6 +377,13 @@ class TestPowerFunction:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             power_function(GaussianKernel(1.0), np.empty((0, 1)), np.array([0.0]))
+
+    @pytest.mark.parametrize("reg", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_reg_rejected(self, reg):
+        # a NaN or infinite ridge returned 0.0, which reads as exact interpolation
+        grid = np.linspace(-1.0, 1.0, 8)[:, None]
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {reg!r}"):
+            power_function(GaussianKernel(0.5), grid, np.array([0.3]), reg=reg)
 
     def test_singular_gram_reports_condition(self):
         k = GaussianKernel(1e6)  # effectively constant kernel: rank-1 Gram

@@ -12,13 +12,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+TRACING_INSTALL = r"""
+import tracing
+
+found = []
+
+class Recording(tracing.Tracer):
+    def patch(self, owner, attr, name, hook=None):
+        found.append((owner, attr, getattr(owner, attr)))
+        super().patch(owner, attr, name, hook)
+
+tracing.install(Recording())
+assert found
+for owner, attr, original in found:
+    assert getattr(owner, attr).__wrapped__ is original, (owner, attr)
+"""
+
+
 def test_benchmark_tracing_installs():
     # install() wraps public functions and methods where their callers look
-    # them up; a renamed or moved one fails here instead of in a traced run
+    # them up; a renamed or moved one fails here instead of in a traced run.
+    # A subprocess keeps the wrappers out of every other test
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
-        cwd=ROOT / "bench", env=env, capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", TRACING_INSTALL], cwd=ROOT / "bench",
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -146,6 +163,10 @@ assert calls["cli.main"] == 2, dict(calls)
 assert calls["validation.run_experiment"] == 1, dict(calls)
 assert calls["validation.solve_and_report"] == 2, dict(calls)  # test1, then solve
 assert calls["models.nonlinear_at"] == 2, dict(calls)  # one split per assembly
+# the metrics table looks each function up when it runs, on solve's helper
+# thread too
+assert calls["collocation.residual"] == 2, dict(calls)
+assert calls["validation.semigroup_check"] == 2, dict(calls)
 """
 
 

@@ -1,4 +1,6 @@
-from dataclasses import fields, replace
+import sys
+import threading
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from sdekoopman import (Domain, EigenPair, FkConfig, GaussianKernel,
 import sdekoopman.validation as validation
 import sdekoopman.workers as workers_module
 from sdekoopman.cli import _report_csv
-from sdekoopman.collocation import GridSpec, assemble, condition_number, save_solution
+from sdekoopman.collocation import (CollocationSolution, GridSpec, assemble, condition_number,
+                                    save_solution)
+from sdekoopman.config import ALLOWED_METRICS
 from sdekoopman.models import SdeSystem, linearize
 from sdekoopman.registry import constant_diffusion, get_model
 from sdekoopman.validation import (ExperimentReport, boundary_points,
@@ -291,6 +295,71 @@ class TestRunExperiment:
         bad = replace(r, condition_number=1e12)
         checks = dict((label, ok) for label, ok, _ in check_acceptance("test1_ou", bad))
         assert not checks["condition number within x3 of 9.91e5"]
+
+
+class TestMetricsTable:
+    """solve_and_report's metrics run from one table in ALLOWED_METRICS order,
+    and their values fill ExperimentReport's fields in that order."""
+
+    # each metric's function as the table calls it; max|h| is eval_h called
+    # by the table itself, where rmse and the semigroup check reach it
+    # through eval_phi
+    FUNCTIONS = {"condition_number": "condition_number", "pde_residual": "pde_residual",
+                 "semigroup": "semigroup_check", "rmse": "rmse_vs_exact"}
+
+    @staticmethod
+    def failing(name):
+        def boom(*args, **kwargs):
+            raise AssertionError(f"{name} ran for another metric")
+        return boom
+
+    @pytest.mark.parametrize("key", ALLOWED_METRICS)
+    def test_one_key_computes_only_its_own_field(self, monkeypatch, key):
+        setup = get_model("ou")
+        full = solve_and_report(setup, 0, fk=SMALL_FK)[2]
+        assert None not in astuple(full)
+        for other, name in self.FUNCTIONS.items():
+            if other != key:
+                monkeypatch.setattr(validation, name, self.failing(name))
+        if key != "max_abs_h":
+            eval_h = CollocationSolution.eval_h
+
+            def eval_h_for_phi_only(sol, x):
+                if sys._getframe(1).f_code.co_name != "eval_phi":
+                    raise AssertionError("max|h| ran for another metric")
+                return eval_h(sol, x)
+
+            monkeypatch.setattr(CollocationSolution, "eval_h", eval_h_for_phi_only)
+        report = solve_and_report(setup, 0, fk=SMALL_FK, metrics=(key,))[2]
+        want = [value if other == key else None
+                for other, value in zip(ALLOWED_METRICS, astuple(full)[1:])]
+        assert astuple(report) == (full.label, *want)
+
+    def test_failing_metric_raises_after_write_ahead_of_its_error(self, monkeypatch):
+        # the condition number fails while write still runs; write finishes,
+        # and its own error gives way to the metric's
+        failed, finished = threading.Event(), []
+
+        def failing_condition(M):
+            failed.set()
+            raise ValueError("condition number failed on purpose")
+
+        def write(sol, asys):
+            assert failed.wait(timeout=60)
+            finished.append(True)
+            raise OSError("write failed on purpose")
+
+        monkeypatch.setattr(validation, "condition_number", failing_condition)
+        with pytest.raises(ValueError, match="condition number failed on purpose"):
+            solve_and_report(get_model("ou"), 0, fk=SMALL_FK, write=write)
+        assert finished == [True]
+
+    def test_failing_write_alone_raises_its_own_error(self):
+        def write(sol, asys):
+            raise OSError("write failed on purpose")
+
+        with pytest.raises(OSError, match="write failed on purpose"):
+            solve_and_report(get_model("ou"), 0, fk=SMALL_FK, write=write)
 
 
 class TestSolveMemory:
