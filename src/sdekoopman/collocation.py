@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -103,18 +103,6 @@ def make_grid(domain: Domain, spec: GridSpec) -> CollocationGrid:
     return CollocationGrid(points=pts)
 
 
-@dataclass(frozen=True)
-class AssembledSystem:
-    """Gram/drift/diffusion matrices, source vector, and the system matrix."""
-
-    gram: Array
-    drift_mat: Array
-    diff_mat: Array
-    source: Array
-    system_matrix: Array
-    regularization: float
-
-
 def _half_trace_term(K: Array, diff: Array, S: Array, l2: float) -> Array:
     """``(1/2) Tr[a(x_i) hess_x k(x_i, y_j)]`` from ``K``, ``diff[i, j] = x_i - y_j``,
     ``S`` the diffusion factors sigma(x_i) stacked (n, d, m) and the squared
@@ -126,6 +114,80 @@ def _half_trace_term(K: Array, diff: Array, S: Array, l2: float) -> Array:
     return 0.5 * K * (quad / l2**2 - tr[:, None] / l2)
 
 
+_MATRICES = ("gram", "drift", "diffusion")
+
+
+def _blocks(kern: GaussianKernel, X: Array, G: Array, S: Array,
+            drift: bool = True, diffusion: bool = True):
+    """Yield ``(rows, K, L, D)`` for each :func:`kernels.block_rows` row block
+    of the Gram, drift and diffusion matrices at the nodes ``X``, from the
+    drift values ``G`` and diffusion factors ``S`` there.
+
+    The one home of their formulas.  Each entry is computed from its own
+    row's values only, so its bits do not depend on the block size.  ``L``
+    (``D``) is None unless ``drift`` (``diffusion``) is asked for.  ``K``
+    lives in a buffer that the next block reuses.
+    """
+    N, d = X.shape
+    l2 = kern.lengthscale**2
+    for blk, K in kern.eval_blocks(X, X, block_rows(N * d)):
+        diff = X[blk, None, :] - X[None, :, :]  # diff[i, j] = x_i - x_j
+        L = -(np.einsum("id,ijd->ij", G[blk], diff) / l2) * K if drift else None
+        D = _half_trace_term(K, diff, S[blk], l2) if diffusion else None
+        yield blk, K, L, D
+
+
+@dataclass(frozen=True)
+class AssembledSystem:
+    """The collocation system ``M alpha = -f``: the system matrix M, the
+    source f and the ridge gamma, with the nodes, the kernel, and the drift
+    values G (N, d) and diffusion factors sigma (N, d, m) at the nodes.
+
+    M is the only N x N matrix held.  :attr:`gram`, :attr:`drift_mat` and
+    :attr:`diff_mat` fill a fresh matrix from :func:`_blocks` on each access,
+    bit for bit the blocks that :func:`assemble` built M from, and
+    :meth:`matrix_blocks` streams them a row block at a time.
+    """
+
+    system_matrix: Array
+    source: Array
+    regularization: float
+    grid: CollocationGrid
+    kernel: GaussianKernel
+    drift: Array
+    sigma: Array
+
+    def matrix_blocks(self, name: str):
+        """Yield ``(rows, block)`` for the row blocks of the ``'gram'``,
+        ``'drift'`` or ``'diffusion'`` matrix, regenerated; a block is valid
+        until the next one is asked for."""
+        which = _MATRICES.index(name)
+        for blk, *mats in _blocks(self.kernel, self.grid.points, self.drift, self.sigma,
+                                  drift=which == 1, diffusion=which == 2):
+            yield blk, mats[which]
+
+    def _matrix(self, name: str) -> Array:
+        out = np.empty((self.grid.n_points,) * 2)
+        for blk, mat in self.matrix_blocks(name):
+            out[blk] = mat
+        return out
+
+    @property
+    def gram(self) -> Array:
+        """The Gram matrix K, regenerated."""
+        return self._matrix("gram")
+
+    @property
+    def drift_mat(self) -> Array:
+        """The drift matrix L, regenerated."""
+        return self._matrix("drift")
+
+    @property
+    def diff_mat(self) -> Array:
+        """The diffusion matrix D, regenerated."""
+        return self._matrix("diffusion")
+
+
 def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
              kern: GaussianKernel, grid: CollocationGrid, gamma: float) -> AssembledSystem:
     """Assemble the collocation system ``(L + D - lambda K + gamma I, f)``.
@@ -134,45 +196,46 @@ def assemble(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     :func:`_half_trace_term`: exact for any sigma, singular included, and
     D = 0 exactly when sigma vanishes.
 
-    K, L, D and M are filled in one pass of :func:`kernels.block_rows` row
-    blocks of the (rows, N, d) difference tensor, so beyond the four N x N
-    matrices only one block's temporaries are held.  Each entry is the
-    expression of the whole-matrix formula, in the same order.
+    M is filled in one pass of the row blocks of :func:`_blocks`, so beyond
+    M only one block's K, L, D and temporaries are held; each entry is the
+    expression of the whole-matrix formula, in the same order.  K, L and D
+    are not kept (see :class:`AssembledSystem`).  A non-finite entry raises
+    :class:`AssemblyError` naming the first one of K, else of L, else of D,
+    else of f.
     """
     if not np.isfinite(gamma):
         raise ValueError(f"gamma must be finite, got {gamma!r}")
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
     X = grid.points
-    N, d = X.shape
-    l2 = kern.lengthscale**2
+    N = len(X)
     lam = eigenpair.eigenvalue
 
     G = system.drift_at(X)
     S = system.sigma_at(X)
-    K, L, D, M = (np.empty((N, N)) for _ in range(4))
-    for blk, Kb in kern.eval_blocks(X, X, block_rows(N * d), out=K):
-        diff = X[blk, None, :] - X[None, :, :]  # diff[i, j] = x_i - x_j
-        L[blk] = -(np.einsum("id,ijd->ij", G[blk], diff) / l2) * Kb
-        D[blk] = _half_trace_term(Kb, diff, S[blk], l2)
+    M = np.empty((N, N))
+    first_bad = dict.fromkeys(_MATRICES)
+    for blk, K, L, D in _blocks(kern, X, G, S):
         # gamma I added over the whole (rows, N) slice, not on its diagonal
         # only: -0.0 + 0.0 is +0.0, so the off-diagonal signs of zero are
         # those of the whole-matrix sum
-        M[blk] = L[blk] + D[blk] - lam * Kb + gamma * np.eye(len(Kb), N, k=blk.start)
+        M[blk] = L + D - lam * K + gamma * np.eye(len(K), N, k=blk.start)
+        for name, mat in zip(_MATRICES, (K, L, D)):
+            if first_bad[name] is None and not np.isfinite(mat).all():
+                i, j = np.argwhere(~np.isfinite(mat))[0]
+                first_bad[name] = (blk.start + int(i), int(j))
 
     f = small_matmul(decomp.nonlinear_at(X, G), eigenpair.left_eigenvector)
 
-    for name, mat in (("gram", K), ("drift", L), ("diffusion", D)):
-        bad = ~np.isfinite(mat)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            raise AssemblyError(f"non-finite {name} entry at ({i}, {j})")
+    for name, entry in first_bad.items():
+        if entry is not None:
+            raise AssemblyError(f"non-finite {name} entry at ({entry[0]}, {entry[1]})")
     if not np.all(np.isfinite(f)):
-        i = int(np.argwhere(~np.isfinite(f))[0])
+        i = int(np.argwhere(~np.isfinite(f))[0, 0])
         raise AssemblyError(f"non-finite source entry at ({i},)")
 
-    return AssembledSystem(gram=K, drift_mat=L, diff_mat=D, source=f,
-                           system_matrix=M, regularization=float(gamma))
+    return AssembledSystem(system_matrix=M, source=f, regularization=float(gamma),
+                           grid=grid, kernel=kern, drift=G, sigma=S)
 
 
 def condition_number(M: Array) -> float:
@@ -348,29 +411,40 @@ def residual_test_points(domain: Domain, expand: float = 0.25,
 #     system is attached
 
 
+def _row_blocks(a) -> Iterator[Array]:
+    """The float64 blocks of :func:`kernels.block_rows` whole leading-axis
+    rows of ``a``: 20 rows of a 1600-column matrix."""
+    a = np.ascontiguousarray(a, dtype=float)
+    rows = block_rows(int(np.prod(a.shape[1:])))
+    return (a[i:i + rows] for i in range(0, len(a), rows))
+
+
 def _solution_fields(sol: CollocationSolution,
                      asys: Optional[AssembledSystem] = None) -> list:
-    """The document's (key, value) pairs in order; arrays as float64."""
+    """The document's (key, value) pairs in order.  An array is an iterator
+    over its float64 row blocks; K, L and D are regenerated block by block
+    (:meth:`AssembledSystem.matrix_blocks`), never held whole."""
     fields = [
         ("lengthscale", sol.kernel.lengthscale),
         ("lambda", sol.eigenpair.eigenvalue),
-        ("w", sol.eigenpair.left_eigenvector),
+        ("w", _row_blocks(sol.eigenpair.left_eigenvector)),
         ("gamma", asys.regularization if asys is not None else None),
-        ("grid", sol.grid.points),
-        ("coefficients", sol.coefficients),
+        ("grid", _row_blocks(sol.grid.points)),
+        ("coefficients", _row_blocks(sol.coefficients)),
     ]
-    fields += [("equilibrium", sol.equilibrium)] if np.any(sol.equilibrium) else []
+    if np.any(sol.equilibrium):
+        fields.append(("equilibrium", _row_blocks(sol.equilibrium)))
     if asys is not None:
-        fields += [("gram", asys.gram), ("drift", asys.drift_mat),
-                   ("diffusion", asys.diff_mat), ("source", asys.source)]
-    return [(key, np.asarray(value, dtype=float) if isinstance(value, np.ndarray) else value)
-            for key, value in fields]
+        fields += [(name, (mat for _, mat in asys.matrix_blocks(name))) for name in _MATRICES]
+        fields.append(("source", _row_blocks(asys.source)))
+    return fields
 
 
 def solution_to_json_dict(sol: CollocationSolution,
                           asys: Optional[AssembledSystem] = None) -> dict:
     """The solution document as nested lists; :func:`save_solution` writes its JSON."""
-    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+    return {key: [row for blk in value for row in blk.tolist()]
+            if isinstance(value, Iterator) else value
             for key, value in _solution_fields(sol, asys)}
 
 
@@ -420,19 +494,19 @@ def _json_items(blk: Array) -> bytes:
     return text.replace(b",", b", ")
 
 
-def _json_array_chunks(a: Array):
-    """Yield the bytes of ``json.dumps(a.tolist())``, in blocks of
-    :func:`kernels.block_rows` whole leading-axis rows (see :func:`_json_items`):
-    20 rows of a 1600-column matrix.
+def _json_array_chunks(blocks):
+    """Yield the bytes of ``json.dumps(a.tolist())`` for the array ``a``
+    whose whole leading-axis row blocks ``blocks`` yields in order, one
+    block's text at a time (see :func:`_json_items`).  The text does not
+    depend on where the blocks split.
 
-    Beyond the array it holds one block's text and its respellings, so the
-    N x N matrices of an assembled system are written in O(block) memory.
+    Beyond the current block it holds that block's text and its
+    respellings, so a matrix regenerated block by block is written in
+    O(block) memory.
     """
-    a = np.ascontiguousarray(a)
-    rows = block_rows(int(np.prod(a.shape[1:])))
     yield b"["
-    for i in range(0, len(a), rows):
-        yield (b", " if i else b"") + _json_items(a[i:i + rows])
+    for i, blk in enumerate(blocks):
+        yield (b", " if i else b"") + _json_items(blk)
     yield b"]"
 
 
@@ -441,12 +515,14 @@ def save_solution(path, sol: CollocationSolution, asys: Optional[AssembledSystem
 
     The document is streamed key by key and in row blocks (see
     :func:`_json_array_chunks`), so no nested lists of a whole array and no
-    whole-document string are built.
+    whole-document string are built.  The matrices K, L and D of ``asys``
+    are regenerated a row block at a time as they are written, so beyond
+    what ``sol`` and ``asys`` hold the writer needs O(block) memory.
     """
     with open(path, "wb") as fh:
         for i, (key, value) in enumerate(_solution_fields(sol, asys)):
             fh.write((("{" if i == 0 else ", ") + json.dumps(key) + ": ").encode())
-            if isinstance(value, np.ndarray):
+            if isinstance(value, Iterator):
                 fh.writelines(_json_array_chunks(value))
             else:
                 fh.write(json.dumps(value).encode())

@@ -134,8 +134,12 @@ class LinearDecomposition:
         A = np.asarray(self.a_matrix, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("a_matrix must be square")
+        eq = np.asarray(self.equilibrium, dtype=float)
+        if eq.shape != A.shape[:1] or not np.all(np.isfinite(eq)):
+            raise ValueError(f"equilibrium must be a finite vector of length {A.shape[0]}, "
+                             f"got {self.equilibrium!r}")
         object.__setattr__(self, "a_matrix", A)
-        object.__setattr__(self, "equilibrium", np.asarray(self.equilibrium, dtype=float))
+        object.__setattr__(self, "equilibrium", eq)
 
     def nonlinear_at(self, X: Array, G: Array) -> Array:
         """``F = G - A (x - x*)`` at states X from the drift values G there."""

@@ -212,6 +212,44 @@ class TestAssemble:
             with pytest.raises(AssemblyError, match=r"\(1, "):
                 assemble(sys1, dec, pair, GaussianKernel(1.0), grid, 1e-4)
 
+    def test_non_finite_source_entry_reported(self):
+        # G = -x is finite, but F = G - A x overflows at the node x = 2
+        sys1 = SdeSystem(dim_state=1, dim_noise=1, drift=lambda x: -x,
+                         diffusion_factor=constant_diffusion(np.array([[0.5]])))
+        dec = linearize(sys1, a_matrix=np.array([[-1e308]]))
+        grid = CollocationGrid(points=np.array([[0.0], [2.0]]))
+        with np.errstate(over="ignore"):
+            with pytest.raises(AssemblyError, match=r"non-finite source entry at \(1,\)"):
+                assemble(sys1, dec, get_model("ou").eigenpair, GaussianKernel(1.0), grid, 1e-4)
+
+    def test_drift_reported_before_an_earlier_diffusion_entry(self, monkeypatch):
+        # one row per block: row 0 has a non-finite D (sigma = inf), row 2 a
+        # non-finite L (G = inf); the drift matrix is still named first, as
+        # when each whole matrix was checked in turn
+        def sigma(x):
+            S = np.full(np.shape(x) + (1,), 0.5)
+            S[np.asarray(x) < -0.5] = np.inf
+            return S
+
+        sys1 = SdeSystem(dim_state=1, dim_noise=1, diffusion_factor=sigma,
+                         drift=lambda x: np.where(x > 0.5, np.inf, -x))
+        dec = linearize(sys1, a_matrix=np.array([[-1.0]]))
+        grid = CollocationGrid(points=np.array([[-1.0], [0.0], [1.0]]))
+        monkeypatch.setattr(collocation, "block_rows", lambda n_cols: 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(AssemblyError, match=r"non-finite drift entry at \(2, 0\)"):
+                assemble(sys1, dec, get_model("ou").eigenpair, GaussianKernel(1.0), grid, 1e-4)
+
+
+def hand_built(M, f):
+    """An assembled system with system matrix ``M`` and source ``f``, whose K,
+    L and D are those of len(f) nodes of a 1-d system without drift or noise."""
+    n = len(f)
+    return AssembledSystem(system_matrix=M, source=f, regularization=0.0,
+                           grid=CollocationGrid(points=np.arange(n, dtype=float)[:, None]),
+                           kernel=GaussianKernel(1.0), drift=np.zeros((n, 1)),
+                           sigma=np.zeros((n, 1, 1)))
+
 
 class TestSolve:
     def test_zero_source_gives_zero_coefficients(self):
@@ -228,10 +266,7 @@ class TestSolve:
         assert resid <= bound
 
     def test_singular_matrix_raises_with_estimate(self):
-        n = 4
-        asys = AssembledSystem(gram=np.eye(n), drift_mat=np.zeros((n, n)),
-                               diff_mat=np.zeros((n, n)), source=np.zeros(n),
-                               system_matrix=np.zeros((n, n)), regularization=0.0)
+        asys = hand_built(np.zeros((4, 4)), np.zeros(4))
         with pytest.raises(SingularSystemError):
             solve(asys)
 
@@ -240,10 +275,7 @@ class TestSolve:
     def test_singular_matrix_raises_whether_or_not_condition_is_asked(self, condition, pivot):
         # pivot 0 fails the LU; 1e-310 passes it with an infinite coefficient,
         # so with condition=False only the non-finite check reaches the SVD
-        M = np.diag([1.0, 1.0, pivot])
-        asys = AssembledSystem(gram=np.eye(3), drift_mat=np.zeros((3, 3)),
-                               diff_mat=np.zeros((3, 3)), source=np.array([0.0, 0.0, 1.0]),
-                               system_matrix=M, regularization=0.0)
+        asys = hand_built(np.diag([1.0, 1.0, pivot]), np.array([0.0, 0.0, 1.0]))
         with pytest.raises(SingularSystemError, match="numerically singular"):
             solve(asys, condition=condition)
 
@@ -251,10 +283,7 @@ class TestSolve:
     def test_non_finite_coefficients_raise_with_estimate(self, condition):
         # the smallest singular value passes the SVD check, yet the LU
         # overflows the coefficients to inf and nan
-        M = np.diag([1.0, 1.0, 1e-300])
-        asys = AssembledSystem(gram=np.eye(3), drift_mat=np.zeros((3, 3)),
-                               diff_mat=np.zeros((3, 3)), source=np.array([0.0, 0.0, 1e10]),
-                               system_matrix=M, regularization=0.0)
+        asys = hand_built(np.diag([1.0, 1.0, 1e-300]), np.array([0.0, 0.0, 1e10]))
         with pytest.raises(SingularSystemError, match="non-finite") as info:
             solve(asys, condition=condition)
         assert info.value.condition_estimate == pytest.approx(1e300)
@@ -662,14 +691,15 @@ class TestSaveSolution:
         self._assert_same_bytes(tmp_path, sol, asys if with_asys else None)
 
     def test_same_bytes_special_values(self, tmp_path, quadratic_solution):
-        sol, _, _ = quadratic_solution
+        # the regenerated K, L and D come with a source of special values
+        sol, assembled, _ = quadratic_solution
         n = sol.grid.n_points
         special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-05, 1e+16, 1e22, 0.1,
                             -0.1, 1.0, 1.0, -0.0, np.nan, np.inf, -np.inf, 0.0])
         mat = np.resize(special, (n, n))
-        asys = AssembledSystem(gram=mat, drift_mat=mat.T.copy(), diff_mat=-mat,
-                               source=np.resize(special[::-1], n),
-                               system_matrix=mat, regularization=1e-05)
+        asys = AssembledSystem(system_matrix=mat, source=np.resize(special[::-1], n),
+                               regularization=1e-05, grid=sol.grid, kernel=sol.kernel,
+                               drift=assembled.drift, sigma=assembled.sigma)
         self._assert_same_bytes(tmp_path, sol, asys)
         text = (tmp_path / "solution.json").read_text()
         for spelling in ("-0.0, ", "5e-324", "1e-05", "1e+16", "1e+22",
@@ -694,7 +724,7 @@ def _sol_pair(asys):
 
 
 def _chunks_text(a):
-    return b"".join(_json_array_chunks(a)).decode("ascii")
+    return b"".join(_json_array_chunks(collocation._row_blocks(a))).decode("ascii")
 
 
 class TestBlockedWriter:
@@ -749,7 +779,8 @@ class TestBlockedWriter:
         # one block's text, its respellings and a few block-sized arrays: a
         # 3.1 MB peak for this 5.1 MB array; the text of the whole array is 13 MB
         a = np.random.default_rng(0).standard_normal((800, 800))
-        peak = tracemalloc_peak(lambda: sum(1 for _ in _json_array_chunks(a)))
+        peak = tracemalloc_peak(lambda: sum(1 for _ in _json_array_chunks(
+            collocation._row_blocks(a))))
         assert peak < 4 * a.nbytes
 
 
@@ -844,14 +875,19 @@ class TestBlockedAssembly:
         for mat, want in zip(got, expected):
             assert np.array_equal(mat.view(np.uint64), want.view(np.uint64))
 
-    def test_memory_is_four_matrices_and_one_block(self, linear2d_setup, tracemalloc_peak):
+    def test_memory_is_one_matrix_and_one_block(self, linear2d_setup, tracemalloc_peak):
         # the whole-matrix formula also held the (N, N, 2) difference tensor
-        # and whole-matrix temporaries: 52 MB here, against 28 MB in blocks
+        # and whole-matrix temporaries: 52 MB here; keeping K, L, D and M
+        # filled in blocks took 28 MB
         s = linear2d_setup
         grid = make_grid(s.domain, GridSpec("tensor", 30))
         kern = GaussianKernel(s.lengthscale)
         peak = tracemalloc_peak(assemble, s.system, s.decomp, s.eigenpair, kern, grid, s.gamma)
         n = grid.n_points
-        # K, L, D and M, plus half a matrix for one block's temporaries and
-        # the N x N bool masks of the finiteness check
-        assert peak < 4.5 * 8 * n * n
+        # M, plus half a matrix for one block's K, L, D, temporaries and masks
+        assert peak < 1.5 * 8 * n * n
+
+    def test_regenerated_matrices_are_fresh(self):
+        _, asys, _, _ = ou_assembled()
+        asys.gram[0, 0] = 7.0
+        assert asys.gram[0, 0] == 1.0

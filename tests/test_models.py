@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,7 @@ from sdekoopman import (Domain, EigenPair, SdeSystem, diffusion_tensor,
                         ellipticity_level, get_model, lambda_threshold,
                         left_eigenpair, linearize)
 from sdekoopman.errors import EigenstructureError, EvaluationError
-from sdekoopman.models import small_matmul
+from sdekoopman.models import LinearDecomposition, small_matmul
 from sdekoopman.registry import constant_diffusion
 
 
@@ -107,6 +109,12 @@ class TestLinearize:
                          diffusion_factor=constant_diffusion(np.eye(2)))
         with pytest.raises(EvaluationError, match=r"\(coordinate 1\)"):
             linearize(sys2)
+
+    @pytest.mark.parametrize("equilibrium", [[0.0, 0.0], [np.nan], 0.0])
+    def test_equilibrium_must_be_a_finite_vector_of_the_state_dimension(self, equilibrium):
+        with pytest.raises(ValueError, match=re.escape(
+                f"equilibrium must be a finite vector of length 1, got {equilibrium!r}")):
+            LinearDecomposition(a_matrix=[[-1.0]], equilibrium=equilibrium)
 
 
 def per_state_2d():

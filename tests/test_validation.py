@@ -365,12 +365,12 @@ class TestMetricsTable:
 class TestSolveMemory:
     @pytest.mark.parametrize("n", [20, 30])
     def test_peak_is_four_matrices_and_the_writer(self, tmp_path, tracemalloc_peak, n):
-        # solve with every metric on while solution.json is written holds K,
-        # L, D and M (32 N^2 B), the writer's own peak, and blocks: 4 MiB
-        # covers them and the metrics' vectors.  numpy's linalg takes the
-        # LU's and the SVD's copies of M with malloc, so they are not traced.
-        # At n = 30 (N = 900) the bound is 39.5 MB: the whole-matrix residual
-        # peaked at 48.7-51.6 MB, the blocked one at 36.0-36.4 MB
+        # solve with every metric on while solution.json is written holds M
+        # (8 N^2 B), the writer's own peak, and blocks: 4 MiB covers them and
+        # the metrics' vectors.  numpy's linalg takes the LU's and the SVD's
+        # copies of M with malloc, so they are not traced.  At n = 30
+        # (N = 900) the bound is 12.1 MB and the peak 9.0 MB; holding K, L
+        # and D as well peaked at 28.6 MB
         setup = replace(get_model("linear2d"), grid_spec=GridSpec("tensor", n))
         path = tmp_path / "solution.json"
         sol, asys, _ = solve_and_report(setup, 0, metrics=())
@@ -379,7 +379,7 @@ class TestSolveMemory:
         peak = tracemalloc_peak(solve_and_report, setup, 0,
                                 write=lambda sol, asys: save_solution(path, sol, asys))
         N = n * n
-        assert peak < 32 * N * N + writer + (4 << 20)
+        assert peak < 8 * N * N + writer + (4 << 20)
 
 
 class TestReportOutput:
