@@ -13,13 +13,13 @@ Subcommands::
 
 Exit codes: 0 ok, 1 benchmark band failed (reproduce), 2 config/input error
 (``ConfigError`` or any other ``ValueError``), 3 numerical failure (any other
-``SdeKoopmanError`` or ``LinAlgError``); a file or directory that cannot be
-read or written also exits 2.  ``main`` maps exception types to codes in one
-place.  Identical invocations (same seed) produce byte-identical output
-files.  ``--threads`` is the number of processes (default: the CPUs this
-process may use) over which ``fk`` deals its queries, ``reproduce`` its
-experiments and ``sweep`` its noise levels, as ``workers.fork_count`` allows
-by their path steps; it never changes results.
+``SdeKoopmanError``, ``LinAlgError`` or ``MemoryError``); a file or directory
+that cannot be read or written also exits 2.  ``main`` maps exception types
+to codes in one place.  Identical invocations (same seed) produce
+byte-identical output files.  ``--threads`` is the number of processes
+(default: the CPUs this process may use) over which ``fk`` deals its queries,
+``reproduce`` its experiments and ``sweep`` its noise levels, through
+``workers.map_in_workers`` as their path steps allow; it never changes results.
 
 BLAS pools are pinned to one thread for bitwise stability, once, at the top
 of this module: the package ``__init__`` loads its modules lazily, so this
@@ -248,12 +248,13 @@ def _read_queries(path, dim):
 def cmd_fk(args) -> int:
     cfg, _, setup, fk = _load_run(args)
     queries = _read_queries(args.queries, setup.system.dim_state)
-    if args.fit:
-        feynman_kac.check_eta(args.eta)  # before the batch, which a bad eta would waste
+    if args.fit:  # before the batch, which a bad eta or coinciding queries would waste
+        feynman_kac.check_eta(args.eta)
+        grid = collocation.CollocationGrid(points=queries)
+    out = _outdir(args, cfg)
 
     estimates = feynman_kac.fk_batch(setup.system, setup.decomp, setup.eigenpair,
                                      setup.domain, queries, fk, workers=args.threads)
-    out = _outdir(args, cfg)
     _write(os.path.join(out, "fk_estimates.csv"),
            _fk_estimates_csv(estimates, queries))
 
@@ -264,8 +265,8 @@ def cmd_fk(args) -> int:
                 f"cannot fit: estimates failed at query indices {failed}")
         kern = kernels.GaussianKernel(setup.lengthscale)
         values = [e.value for e in estimates]
-        fitted = feynman_kac.krr_fit(kern, collocation.CollocationGrid(points=queries),
-                                     values, args.eta, eigenpair=setup.eigenpair,
+        fitted = feynman_kac.krr_fit(kern, grid, values, args.eta,
+                                     eigenpair=setup.eigenpair,
                                      equilibrium=setup.decomp.equilibrium)
         path = os.path.join(out, "fitted_solution.json")
         collocation.save_solution(path, fitted)
@@ -278,8 +279,8 @@ def cmd_reproduce(args) -> int:
     names = [n for n in validation.EXPERIMENTS if args.which in ("all", n.split("_")[0])]
     # each experiment runs at least one semigroup check (test2 one per level)
     results = workers.map_in_workers(
-        lambda name: validation.run_experiment(name, seed=args.seed), names, args.threads,
-        len(names) * validation.semigroup_path_steps())
+        lambda g: (validation.run_experiment(n, seed=args.seed) for n in g), names,
+        args.threads, len(names) * validation.semigroup_path_steps())
     reports, all_checks = [], []
     for name, result in zip(names, results):
         reports.extend(result if isinstance(result, list) else [result])
@@ -302,13 +303,13 @@ def cmd_semigroup_curve(args) -> int:
     cfg, seed, setup, fk = _load_run(args)
     t_list = _floats(args.t_list, "--t-list")
     feynman_kac.horizon_steps(t_list, fk.dt)  # before the solve, which a bad list would waste
+    out = _outdir(args, cfg)
 
     sol, _, _ = validation.solve_and_report(setup, seed, fk=fk, metrics=())
     rows = validation.semigroup_curve(setup.system, sol.eval_phi,
                                       setup.eigenpair.eigenvalue, setup.semigroup_x0,
                                       t_list, fk)
     columns = ("t", "mc_mean", "prediction", "rel_error")
-    out = _outdir(args, cfg)
     _write(os.path.join(out, "semigroup_curve.csv"),
            _csv(columns, ([r[c] for c in columns] for r in rows)))
     return EXIT_OK
@@ -350,7 +351,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # LinAlgError subclasses ValueError, so it must be caught first
-    except (errors.SdeKoopmanError, np.linalg.LinAlgError) as exc:
+    except (errors.SdeKoopmanError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"error [{args.command}]: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:  # a library input check

@@ -53,7 +53,7 @@ from .errors import EvaluationError, SingularSystemError
 from .kernels import GaussianKernel
 from .models import (Domain, EigenPair, LinearDecomposition, SdeSystem, is_int,
                      small_matmul)
-from .workers import fork_count, in_workers as _in_workers, worker_count
+from .workers import map_in_workers
 
 Array = np.ndarray
 
@@ -393,16 +393,6 @@ def fk_estimate(system: SdeSystem, decomp: LinearDecomposition, eigenpair: Eigen
     return est
 
 
-# Smallest number of path rows each worker steps per time step, ``(n_valid //
-# n_workers) * n_paths``; fk_batch uses no more workers than keep each one at
-# or above it, since a worker saves only the per-row work of a step while each
-# worker pays the fixed cost of every step.  Measured with two workers on 2
-# vCPUs (111 shapes, bound >= 1e6): at up to 800 rows the forked batch was
-# faster in 8 of 20 shapes (median time ratio 1.04), at 1200-1600 in 17 of 24
-# (0.94), from 2000 on in 65 of 67 (0.75).
-_FORK_MIN_ROWS = 2_000
-
-
 def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
              domain: Domain, query_points, cfg: FkConfig,
              workers: Optional[int] = None) -> list[FkEstimate]:
@@ -413,18 +403,14 @@ def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
     Per-point failures are recorded on the estimate (``failure`` message,
     NaN value) instead of aborting the batch.
 
-    The valid queries are dealt round-robin to ``min(workers, n_valid //
-    ceil(_FORK_MIN_ROWS / n_paths))`` groups (``workers=None``: the CPUs
-    this process may use), the most for which each worker steps at least
-    ``_FORK_MIN_ROWS`` path rows at a time.  Each group after the first runs
-    in a forked worker process (in this one when the fork fails), and an
-    exception raised there is raised here.  The batch runs in this process
-    alone when there is one group or ``workers.fork_count`` refuses its path
-    steps, bounded by ``n_valid * n_paths * n_steps``.  Results do not depend
-    on evaluation order, on how the queries are grouped into blocks, or on
-    the number of workers.
+    :func:`workers.map_in_workers` deals the valid queries round-robin to
+    ``min(workers, n_valid)`` groups (``workers=None``: the CPUs this process
+    may use) and forks a worker for each group after the first, unless the
+    batch's path steps, bounded by ``n_valid * n_paths * n_steps``, are too
+    few to fork for.  An exception raised in a worker is raised here.
+    Results do not depend on evaluation order, on how the queries are
+    grouped into blocks, or on the number of workers.
     """
-    workers = worker_count(workers)
     pts = np.asarray(query_points, dtype=float)
     pts = pts.reshape(0, system.dim_state) if pts.shape == (0,) else np.atleast_2d(pts)
     out = [None] * len(pts)
@@ -444,14 +430,10 @@ def fk_batch(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPai
             ests += _fk_block(system, decomp, eigenpair, domain, pts[block], block, cfg)
         return ests
 
-    per_worker = max(1, -(-_FORK_MIN_ROWS // cfg.n_paths))  # fewest queries a worker takes
     bound = len(valid) * cfg.n_paths * _n_steps(_horizon(eigenpair.eigenvalue, cfg)[0],
                                                 cfg.dt)
-    n_workers = fork_count(min(workers, len(valid) // per_worker), bound)
-    groups = [valid[k::n_workers] for k in range(n_workers)]
-    for ids, ests in zip(groups, _in_workers(run, groups)):
-        for i, est in zip(ids, ests):
-            out[i] = est
+    for i, est in zip(valid, map_in_workers(run, valid, workers, bound)):
+        out[i] = est
     return out
 
 

@@ -41,14 +41,13 @@ def block_rows(n_cols: int) -> int:
     return max(4, _CHUNK_BYTES // max(1, 8 * n_cols) // 4 * 4)
 
 
-def _sq_dist_blocks(A: Array, B: Array, rows: int, out=None):
+def _sq_dist_blocks(A: Array, B: Array, rows: int):
     """Yield ``(rows_slice, D)`` for blocks of ``rows`` rows of ``A``: ``D``
     holds the squared distances ``||a_i - b_j||^2`` of ``A[rows_slice]`` to
     the rows of ``B``, coordinates added left to right.
 
-    ``D`` is a view of ``out``'s rows when ``out`` is given, else one block
-    that every block reuses, so a caller keeps no ``D`` past its step.  One
-    scratch block serves all blocks; 1-D points need none.
+    ``D`` is one block that every block reuses, so a caller keeps no ``D``
+    past its step.  One scratch block serves all blocks; 1-D points need none.
     """
     if not A.shape[1] == B.shape[1] > 0:
         raise ValueError(f"point sets must have the same positive number of coordinates, "
@@ -56,11 +55,11 @@ def _sq_dist_blocks(A: Array, B: Array, rows: int, out=None):
     n, m = A.shape[0], B.shape[0]
     Bt = np.ascontiguousarray(B.T)
     size = min(rows, n)
-    block = np.empty((size, m)) if out is None else None
+    block = np.empty((size, m))
     scratch = np.empty((size, m)) if A.shape[1] > 1 else None
     for i in range(0, n, rows):
         blk = slice(i, i + rows)
-        D = out[blk] if block is None else block[:n - i]
+        D = block[:n - i]
         np.subtract(A[blk, :1], Bt[0], out=D)
         np.square(D, out=D)
         for k in range(1, A.shape[1]):
@@ -116,35 +115,34 @@ class GaussianKernel:
 
     __call__ = eval
 
-    def eval_blocks(self, X: Array, Y: Array, rows: int, out=None):
+    def eval_blocks(self, X: Array, Y: Array, rows: int):
         """Yield ``(rows_slice, K)`` for blocks of ``rows`` rows of X: ``K``
         holds the kernel rows of ``X[rows_slice]`` against the rows of Y.
 
         Each block is the squared distances of :func:`_sq_dist_blocks`,
-        negated, divided by ``2 l^2`` and exponentiated in place; ``K`` is a
-        view of ``out``'s rows when ``out`` is given, else one block that
-        every block reuses.  Every entry is elementwise, so its bits do not
-        depend on ``rows``.  For d <= 7 they are those of
+        negated, divided by ``2 l^2`` and exponentiated in place; ``K`` is one
+        block that every block reuses.  Every entry is elementwise, so its
+        bits do not depend on ``rows``.  For d <= 7 they are those of
         ``exp(-((X[:, None] - Y[None]) ** 2).sum(axis=2) / (2 l^2))``, whose
         sum of fewer than 8 terms also runs left to right; from d = 8 numpy
         sums pairwise and the last bits can differ.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        for blk, K in _sq_dist_blocks(X, Y, rows, out):
+        for blk, K in _sq_dist_blocks(X, Y, rows):
             np.negative(K, out=K)
             np.divide(K, 2.0 * self.lengthscale**2, out=K)
             np.exp(K, out=K)
             yield blk, K
 
     def eval_matrix(self, X: Array, Y: Array) -> Array:
-        """Pairwise kernel matrix for rows of X against rows of Y, filled by
-        :meth:`eval_blocks` in blocks of at most ``_CHUNK_BYTES``."""
+        """Pairwise kernel matrix for rows of X against rows of Y, copied
+        from :meth:`eval_blocks` in blocks of at most ``_CHUNK_BYTES``."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         out = np.empty((X.shape[0], Y.shape[0]))
-        for _ in self.eval_blocks(X, Y, block_rows(Y.shape[0]), out):
-            pass
+        for blk, K in self.eval_blocks(X, Y, block_rows(Y.shape[0])):
+            out[blk] = K
         return out
 
     def grad_x(self, x: Array, y: Array) -> Array:

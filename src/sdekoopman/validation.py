@@ -259,7 +259,8 @@ def conditioning_sweep(sigmas, fk: Optional[FkConfig] = None, seed: Optional[int
         report = solve_and_report(get_model("quadratic", sigma=sigma), seed, fk=fk)[2]
         return replace(report, label=f"quadratic sigma={sigma:g}")
 
-    return map_in_workers(row, sorted(sigmas), workers, len(sigmas) * semigroup_path_steps(fk))
+    return map_in_workers(lambda g: map(row, g), sorted(sigmas), workers,
+                          len(sigmas) * semigroup_path_steps(fk))
 
 
 def run_experiment(name: str, seed: Optional[int] = None,

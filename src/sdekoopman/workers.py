@@ -1,13 +1,13 @@
 """Forked worker processes that run groups of independent items.
 
-:func:`in_workers` runs each group after the first in a child made with
-``os.fork``, which sends its values back pickled over a pipe, and the first
-group in the calling process.  :func:`map_in_workers` deals a list of items
-to such groups round-robin.  ``fk_batch`` deals its queries this way,
-``reproduce`` its experiments and ``conditioning_sweep`` its noise levels,
-all forking as many workers as the one rule of :func:`fork_count` allows.
-``multiprocessing`` is not used: the model callables are closures, which do
-not pickle, and it starts helper threads.
+:func:`map_in_workers` is the one place that deals work to processes: it
+deals items round-robin to as many groups as :func:`fork_count` allows, and
+:func:`in_workers` runs the first group in the calling process and each other
+one in a child made with ``os.fork``, which sends its values back pickled
+over a pipe.  ``fk_batch`` deals its queries this way, ``reproduce`` its
+experiments and ``conditioning_sweep`` its noise levels.  ``multiprocessing``
+is not used: the model callables are closures, which do not pickle, and it
+starts helper threads.
 """
 
 from __future__ import annotations
@@ -161,19 +161,20 @@ def in_workers(task, groups) -> list:
 
 
 def map_in_workers(fn, items, workers: Optional[int], path_steps: float) -> list:
-    """``[fn(x) for x in items]``, spread over forked worker processes.
+    """The values ``fn`` yields for ``items``, one per item, in item order.
 
     The items are dealt round-robin to ``min(workers, len(items))`` groups
-    (``workers=None``: the CPUs this process may use); this process runs
+    (``workers=None``: the CPUs this process may use), and ``fn(group)``
+    yields one value per item of the group, in order.  This process runs
     the first group and a forked worker each other one, which sends its
-    results back pickled.  A group stops at its first item that raises,
-    and the exception of the first failing item in item order is raised
-    here, as a serial run raises it.  Everything runs in this process when
-    :func:`fork_count` refuses ``path_steps``, the path steps of all items
-    together.  ``fn`` must not depend on which process runs it.
+    values back pickled.  A group stops at its first exception, and the one
+    of the first failing item in item order, counted by the values yielded
+    before it, is raised here, as a serial run raises it.  Everything runs
+    here when :func:`fork_count` refuses ``path_steps``, the path steps of
+    all items together.  ``fn`` must not depend on which process runs it.
     """
     items = list(items)
     n = fork_count(min(worker_count(workers), len(items)), path_steps)
     groups = [items[k::n] for k in range(n)]
-    results = in_workers(lambda group: map(fn, group), groups)
+    results = in_workers(fn, groups)
     return [results[i % n][i // n] for i in range(len(items))]

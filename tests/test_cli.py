@@ -24,6 +24,21 @@ def read(path):
 OU_DOC = {"model": "ou", "seed": 11, "fk": {"n_paths": 500, "t_max": 5.0}}
 
 
+def must_not_run(monkeypatch, owner, name):
+    """Make ``owner.name`` fail the test if the command calls it."""
+    def boom(*args, **kwargs):
+        raise AssertionError(f"{name} ran before the command's checks")
+
+    monkeypatch.setattr(owner, name, boom)
+
+
+def out_under_a_file(tmp_path):
+    """An --out path below a regular file, which no command can make."""
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    return taken / "out"
+
+
 def no_svd_no_residual(monkeypatch):
     """Make the SVD of the condition number and the PDE residual raise."""
     import sdekoopman.collocation as collocation
@@ -266,6 +281,17 @@ class TestFkCommand:
         assert "eta must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_under_a_file_rejected_before_stepping(self, tmp_path, capsys, monkeypatch):
+        import sdekoopman.feynman_kac as feynman_kac
+
+        must_not_run(monkeypatch, feynman_kac, "fk_batch")
+        queries = tmp_path / "q.csv"
+        queries.write_text("0.5\n")
+        out = out_under_a_file(tmp_path)
+        assert main(["fk", "--config", write_config(tmp_path, OU_DOC), "--queries",
+                     str(queries), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
     def test_same_seed_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, OU_DOC)
         queries = tmp_path / "q.csv"
@@ -392,6 +418,13 @@ class TestSemigroupCurveCommand:
         assert main(["semigroup-curve", "--config", cfg, "--t-list", t_list,
                      "--out", str(tmp_path / "sg")]) == 2
         assert message in capsys.readouterr().err
+
+    def test_out_under_a_file_rejected_before_solving(self, tmp_path, capsys, monkeypatch):
+        must_not_run(monkeypatch, validation, "solve_and_report")
+        out = out_under_a_file(tmp_path)
+        assert main(["semigroup-curve", "--config", write_config(tmp_path, OU_DOC),
+                     "--t-list", "0.1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {out}: ")
 
     def test_computes_no_report_metrics(self, tmp_path, monkeypatch):
         no_svd_no_residual(monkeypatch)
@@ -641,13 +674,18 @@ class TestExitCodes:
         assert "error: t_max / dt must be at most" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_duplicate_fit_queries_exit_2(self, tmp_path, capsys):
+    def test_duplicate_fit_queries_exit_2(self, tmp_path, capsys, monkeypatch):
+        import sdekoopman.feynman_kac as feynman_kac
+
+        must_not_run(monkeypatch, feynman_kac, "fk_batch")  # the fit's grid is checked first
         cfg = write_config(tmp_path, OU_DOC)
         queries = tmp_path / "q.csv"
         queries.write_text("0.5\n0.5\n")
+        out = tmp_path / "fit"
         assert main(["fk", "--config", cfg, "--queries", str(queries), "--fit",
-                     "--out", str(tmp_path)]) == 2
+                     "--out", str(out)]) == 2
         assert "coincide" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_complex_spectrum_exits_3(self, tmp_path, capsys):
         # gamma=1 puts the langevin linearization spectrum off the real axis
@@ -664,6 +702,30 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_sweep", singular)
         assert main(["sweep", "--sigmas", "0.3", "--out", str(tmp_path)]) == 3
         assert "Singular matrix" in capsys.readouterr().err
+
+    def test_memory_error_exits_3(self, tmp_path, monkeypatch, capsys):
+        # stand-ins raise numpy's error for a run too big for memory (linear2d
+        # on a tensor grid with n = 100000), so nothing is allocated
+        import sdekoopman.feynman_kac as feynman_kac
+
+        message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(validation, "solve_system", out_of_memory)
+        monkeypatch.setattr(feynman_kac, "fk_batch", out_of_memory)
+        cfg = write_config(tmp_path, OU_DOC)
+        queries = tmp_path / "q.csv"
+        queries.write_text("0.5\n")
+        solve, fk = tmp_path / "solve", tmp_path / "fk"
+        assert main(["solve", "--config", cfg, "--out", str(solve)]) == 3
+        assert capsys.readouterr().err == f"error [solve]: {message}\n"
+        assert os.listdir(solve) == []  # no solution.json and no .partial
+        assert main(["fk", "--config", cfg, "--queries", str(queries),
+                     "--out", str(fk)]) == 3
+        assert capsys.readouterr().err == f"error [fk]: {message}\n"
+        assert os.listdir(fk) == []
 
 
 class TestHelp:

@@ -312,8 +312,8 @@ def record_kernel_blocks(monkeypatch):
     buffers = []
     eval_blocks = GaussianKernel.eval_blocks
 
-    def record(self, X, Y, rows, out=None):
-        for blk, K in eval_blocks(self, X, Y, rows, out):
+    def record(self, X, Y, rows):
+        for blk, K in eval_blocks(self, X, Y, rows):
             buffers.append(K.base if K.base is not None else K)
             yield blk, K
 
@@ -616,6 +616,41 @@ class TestFiniteDifferenceOracle:
         shift = np.max(np.abs(sol.eval_h(xs) - ref.eval_h(xs)))
         assert 0.10 < shift < 0.135
         assert self._oracle_gap(s, sol) < 1e-5
+
+
+class TestDeterministicClosedForm:
+    """Quadratic at sigma = 0, lambda = -1: phi = x / (1 - 0.3 x) exactly, so
+    h_exact = 0.3 x^2 / (1 - 0.3 x).  phi itself solves the unconstrained
+    problem's homogeneous equation, so the solve fixes h only up to c phi,
+    and the ridge picks c."""
+
+    @staticmethod
+    def _scale_and_remainder(gamma):
+        """The least-squares c in h - h_exact ~ c phi on 241 points of the
+        box, and max |h - h_exact - c phi| there."""
+        s = get_model("quadratic", sigma=0.0)
+        sol, _, _ = solve_system(s.system, s.decomp, s.eigenpair,
+                                 GaussianKernel(s.lengthscale),
+                                 make_grid(s.domain, s.grid_spec), gamma)
+        x = np.linspace(-1.2, 1.2, 241)
+        phi = x / (1.0 - 0.3 * x)
+        miss = sol.eval_h(x[:, None]) - 0.3 * x**2 / (1.0 - 0.3 * x)
+        c = float(phi @ miss / (phi @ phi))
+        return c, float(np.max(np.abs(miss - c * phi)))
+
+    def test_solve_is_right_up_to_scale(self):
+        # measured: c = -0.590, remainder 7.7e-4
+        c, remainder = self._scale_and_remainder(1e-8)
+        assert c == pytest.approx(-0.590, abs=5e-3)
+        assert remainder < 1e-3
+
+    def test_preset_gamma_leaves_a_remainder(self):
+        # at the preset gamma = 1e-4 the ridge moves h off the line h_exact +
+        # c phi: measured c = 0.244, remainder 0.41
+        assert get_model("quadratic", sigma=0.0).gamma == 1e-4
+        c, remainder = self._scale_and_remainder(1e-4)
+        assert c == pytest.approx(0.244, abs=5e-3)
+        assert remainder == pytest.approx(0.41, abs=5e-3)
 
 
 class TestSerialization:

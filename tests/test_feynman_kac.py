@@ -558,7 +558,6 @@ def forced_fork(monkeypatch, forks):
     """Fork workers for any batch size; yields the pids forked, and checks
     afterwards that every child was reaped."""
     monkeypatch.setattr(workers_module, "_FORK_MIN_PATH_STEPS", 0)
-    monkeypatch.setattr(feynman_kac, "_FORK_MIN_ROWS", 0)
     return forks
 
 
@@ -668,13 +667,6 @@ class TestForkedWorkers:
         monkeypatch.setattr(workers_module, "_FORK_MIN_PATH_STEPS", 4 * 40 * 50)
         assert [repr(e) for e in fk_batch(*problem, pts, cfg, workers=2)] == expected
         assert len(forced_fork) == 1
-        # each of the two workers steps 2 queries x 40 paths at a time
-        monkeypatch.setattr(feynman_kac, "_FORK_MIN_ROWS", 2 * 40 + 1)
-        assert [repr(e) for e in fk_batch(*problem, pts, cfg, workers=2)] == expected
-        assert len(forced_fork) == 1
-        monkeypatch.setattr(feynman_kac, "_FORK_MIN_ROWS", 2 * 40)
-        assert [repr(e) for e in fk_batch(*problem, pts, cfg, workers=2)] == expected
-        assert len(forced_fork) == 2
 
     def test_fork_rule_at_the_measured_thresholds(self, monkeypatch):
         groups = []
@@ -683,21 +675,21 @@ class TestForkedWorkers:
             groups.append([len(g) for g in gs])
             return [[None] * len(g) for g in gs]
 
-        monkeypatch.setattr(feynman_kac, "_in_workers", record)
+        monkeypatch.setattr(workers_module, "in_workers", record)
         s = get_model("quadratic", sigma=0.5)
         pair = EigenPair(eigenvalue=1.0, left_eigenvector=np.array([1.0]))
         problem = (s.system, s.decomp, pair, s.domain)
         # the benchmark's cross-check batch, 9 queries x 1000 paths x 5000
-        # steps, forks; with 8 workers it takes the 4 that each step at least
-        # 2 queries x 1000 paths; 2 queries x 100 paths x 5000 steps (bound
-        # 1e6) do not fork
+        # steps, is dealt round-robin to every worker asked for, as are 2
+        # queries x 100 paths x 5000 steps, whose bound 1e6 is the fewest
+        # path steps that fork
         crosscheck = (np.linspace(-1.0, 1.0, 9)[:, None],
                       FkConfig(dt=0.01, n_paths=1000, t_max=50.0))
         fk_batch(*problem, *crosscheck, workers=2)
         fk_batch(*problem, *crosscheck, workers=8)
         fk_batch(*problem, [[-0.5], [0.5]], FkConfig(dt=0.01, n_paths=100, t_max=50.0),
                  workers=2)
-        assert groups == [[5, 4], [3, 2, 2, 2], [2]]
+        assert groups == [[5, 4], [2, 1, 1, 1, 1, 1, 1, 1], [1, 1]]
 
     def test_failed_fork_runs_the_rest_here(self, forced_fork, second_fork_fails):
         # four groups: worker 1 forks, the fork of worker 2 fails, so this
@@ -708,15 +700,15 @@ class TestForkedWorkers:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7, 9])
     def test_map_keeps_item_order(self, forks, workers):
-        assert map_in_workers(lambda x: x * x, range(7), workers, FORK_STEPS) == \
-            [x * x for x in range(7)]
+        assert map_in_workers(lambda g: map(lambda x: x * x, g), range(7), workers,
+                              FORK_STEPS) == [x * x for x in range(7)]
         assert len(forks) == min(workers, 7) - 1
-        assert map_in_workers(len, [], workers, FORK_STEPS) == []
+        assert map_in_workers(lambda g: map(len, g), [], workers, FORK_STEPS) == []
 
     def test_map_forks_from_the_path_step_bound(self, forks):
-        assert map_in_workers(abs, [-1, 2], 2, FORK_STEPS - 1) == [1, 2]
+        assert map_in_workers(lambda g: map(abs, g), [-1, 2], 2, FORK_STEPS - 1) == [1, 2]
         assert forks == []
-        assert map_in_workers(abs, [-1, 2], 2, FORK_STEPS) == [1, 2]
+        assert map_in_workers(lambda g: map(abs, g), [-1, 2], 2, FORK_STEPS) == [1, 2]
         assert len(forks) == 1
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 4])
@@ -729,7 +721,7 @@ class TestForkedWorkers:
             return x * x
 
         with pytest.raises(RuntimeError, match="^item 3 refused$"):
-            map_in_workers(square, range(6), workers, FORK_STEPS)
+            map_in_workers(lambda g: map(square, g), range(6), workers, FORK_STEPS)
         assert len(forks) == workers - 1
 
     def test_first_item_failing_kills_the_workers(self, forks):
@@ -742,7 +734,7 @@ class TestForkedWorkers:
 
         start = time.monotonic()
         with pytest.raises(RuntimeError, match="^item 0 refused$"):
-            map_in_workers(item, [0, 1], 2, FORK_STEPS)
+            map_in_workers(lambda g: map(item, g), [0, 1], 2, FORK_STEPS)
         assert time.monotonic() - start < 30
         assert len(forks) == 1
 

@@ -108,10 +108,9 @@ def drain(blocks):
 class TestRowBlocks:
     """The one row-block pass against the whole-array formulas, bit for bit."""
 
-    @pytest.mark.parametrize("with_out", [False, True])
     @pytest.mark.parametrize("rows", [1, 7, None])
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_blocks_equal_whole_array_bits(self, dim, rows, with_out):
+    def test_blocks_equal_whole_array_bits(self, dim, rows):
         # 30 rows leave a ragged last block of 2 at 7 rows; the default
         # takes all 30 in one block
         gen = np.random.default_rng(10 + dim)
@@ -121,23 +120,18 @@ class TestRowBlocks:
         k = GaussianKernel(0.7)
         whole = {"sq": ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2),
                  "kern": one_shot_matrix(k, X, Y)}
-        passes = {"sq": lambda out: kernels._sq_dist_blocks(X, Y, rows, out),
-                  "kern": lambda out: k.eval_blocks(X, Y, rows, out)}
-        for name, run in passes.items():
-            out = np.empty((30, 11)) if with_out else None
+        passes = {"sq": kernels._sq_dist_blocks(X, Y, rows),
+                  "kern": k.eval_blocks(X, Y, rows)}
+        for name, blocks in passes.items():
             got, bases, n_blocks = np.full((30, 11), np.nan), set(), 0
-            for blk, B in run(out):
+            for blk, B in blocks:
                 assert B.shape == (len(X[blk]), 11)
                 got[blk] = B
                 bases.add(id(B.base))
                 n_blocks += 1
             assert n_blocks == -(-30 // rows)
             assert np.array_equal(got.view(np.uint64), whole[name].view(np.uint64))
-            if with_out:  # every block is a view of out's own rows
-                assert bases == {id(out)}
-                assert np.array_equal(out.view(np.uint64), whole[name].view(np.uint64))
-            else:  # every block reuses one buffer
-                assert len(bases) == 1
+            assert len(bases) == 1  # every block reuses one buffer
 
     def test_point_sets_of_different_width_rejected(self):
         # every pairwise pass compares all coordinates or refuses: a pass over
@@ -156,16 +150,15 @@ class TestRowBlocks:
                 call()
 
     def test_one_dimensional_points_need_no_scratch(self, tracemalloc_peak):
-        # into a given out, 1-D points allocate no block of 100 x 500 floats
-        # (400 kB); 2-D points add one scratch block and the transposed Y.
+        # 1-D points allocate one block of 100 x 500 floats (400 kB) and no
+        # scratch; 2-D points add one scratch block and the transposed Y.
         # numpy's ufunc loops take about 130 kB of their own either way
         gen = np.random.default_rng(5)
         peaks = {}
         for dim in (1, 2):
             X, Y = gen.uniform(size=(300, dim)), gen.uniform(size=(500, dim))
-            out = np.empty((300, 500))
-            peaks[dim] = tracemalloc_peak(drain, kernels._sq_dist_blocks(X, Y, 100, out))
-        assert peaks[1] < 8 * 100 * 500
+            peaks[dim] = tracemalloc_peak(drain, kernels._sq_dist_blocks(X, Y, 100))
+        assert peaks[1] < 2 * 8 * 100 * 500
         assert peaks[2] - peaks[1] >= 8 * 100 * 500
 
 

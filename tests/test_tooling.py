@@ -207,6 +207,20 @@ def test_no_private_names_imported_across_modules():
     assert not found, found
 
 
+def test_only_the_workers_module_forks():
+    # map_in_workers is the one place that deals work to processes; a module
+    # that forks, or calls (or imports under another name) in_workers or
+    # fork_count itself, is a second fan-out path with its own rule
+    fan_out = re.compile(r"\bos\.fork\b|\b(?:in_workers|fork_count)(?:\(|\s+as\b)")
+    found = [f"{path.relative_to(ROOT)}:{n}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             if path.name != "workers.py"
+             for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if fan_out.search(line)]
+    assert not found, found
+    assert fan_out.search((ROOT / "src/sdekoopman/workers.py").read_text(encoding="utf-8"))
+
+
 def test_readme_paths_exist():
     # a file the README names in backticks is one a reader can open
     text = (ROOT / "README.md").read_text(encoding="utf-8")
