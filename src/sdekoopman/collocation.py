@@ -280,7 +280,7 @@ class CollocationSolution:
     """Kernel expansion of the nonlinear correction h, with phi = w^T (x - x*) + h.
 
     The equilibrium ``x*`` defaults to the origin; it must be a finite
-    ``grid.dim``-vector.
+    ``grid.dim``-vector, and so must w.
     """
 
     coefficients: Array
@@ -302,6 +302,10 @@ class CollocationSolution:
             raise ValueError(f"equilibrium must be a finite vector of length {self.grid.dim}, "
                              f"got {self.equilibrium!r}")
         object.__setattr__(self, "equilibrium", eq)
+        w = self.eigenpair.left_eigenvector
+        if w.shape != (self.grid.dim,):
+            raise ValueError(f"left eigenvector must have length {self.grid.dim}, "
+                             f"got {w.tolist()}")
 
     def eval_h(self, x: Array):
         """Nonlinear correction ``h(x) = sum_j alpha_j k(x, x_j)``; batched.

@@ -47,10 +47,12 @@ def small_matmul(Y: Array, M: Array) -> Array:
     into a zeroed accumulator, which turns a -0.0 product into +0.0; the
     ``+ 0.0`` here does the same.  With two or more columns ``@`` is kept:
     BLAS fuses its multiply-adds, which an elementwise sum would not round
-    alike.
+    alike.  Inner dimensions that differ raise ValueError, as ``@`` does.
     """
     if Y.shape[-1] != 1:
         return Y @ M
+    if M.shape[0] != 1:
+        raise ValueError(f"inner dimensions differ: {Y.shape} @ {M.shape}")
     out = (Y[..., 0] if M.ndim == 1 else Y) * M[0]
     out += 0.0
     return out

@@ -1,13 +1,14 @@
 """Forked worker processes that run groups of independent items.
 
-:func:`map_in_workers` is the one place that deals work to processes: it
-deals items round-robin to as many groups as :func:`fork_count` allows, and
-:func:`in_workers` runs the first group in the calling process and each other
-one in a child made with ``os.fork``, which sends its values back pickled
-over a pipe.  ``fk_batch`` deals its queries this way, ``reproduce`` its
-experiments and ``conditioning_sweep`` its noise levels.  ``multiprocessing``
-is not used: the model callables are closures, which do not pickle, and it
-starts helper threads.
+:func:`map_in_workers` is the one place that deals work to processes, by one
+rule: it deals items round-robin to ``min(workers, len(items))`` groups when
+their path steps reach ``_FORK_MIN_PATH_STEPS`` and this process can fork, and
+to one group otherwise.  The first group runs in the calling process and each
+other one in a child made with ``os.fork``, which sends its values back
+pickled over a pipe.  ``fk_batch`` deals its queries this way, ``reproduce``
+its experiments and ``conditioning_sweep`` its noise levels.
+``multiprocessing`` is not used: the model callables are closures, which do
+not pickle, and it starts helper threads.
 """
 
 from __future__ import annotations
@@ -21,32 +22,11 @@ from .errors import EvaluationError
 from .models import is_int
 
 
-def worker_count(workers: Optional[int]) -> int:
-    """``workers`` checked, or the CPUs this process may use for None."""
-    if workers is None:
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0))
-        return os.cpu_count() or 1
-    if not is_int(workers) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    return workers
-
-
 # Fewest Euler-Maruyama path steps for which work forks.  Measured with two
 # workers on 2 vCPUs: fk_batch was slower forked in 23 of 25 shapes below 2e5
 # path steps, faster in 48 of 52 from 1e6 on (shapes listed in CHANGES.md); two
 # sweep rows of 300 paths x 50 steps took 20 ms in one process, 24 ms forked.
 _FORK_MIN_PATH_STEPS = 1_000_000
-
-
-def fork_count(wanted: int, path_steps: float) -> int:
-    """``wanted`` worker processes for work of ``path_steps`` path steps, or 1
-    when that is below ``_FORK_MIN_PATH_STEPS`` or this process cannot fork:
-    no ``os.fork``, or other threads running (a fork would copy their locks)."""
-    if (wanted > 1 and path_steps >= _FORK_MIN_PATH_STEPS and hasattr(os, "fork")
-            and threading.active_count() == 1):
-        return wanted
-    return 1
 
 
 def _run_group(task, group):
@@ -115,7 +95,7 @@ def _receive(worker: int, fd: int):
         raise EvaluationError(f"worker {worker} exited without a result") from None
 
 
-def in_workers(task, groups) -> list:
+def _run_groups(task, groups) -> list:
     """``[list(task(g)) for g in groups]``, each group after the first run by
     a forked child that sends its values back over a pipe.
 
@@ -170,11 +150,21 @@ def map_in_workers(fn, items, workers: Optional[int], path_steps: float) -> list
     values back pickled.  A group stops at its first exception, and the one
     of the first failing item in item order, counted by the values yielded
     before it, is raised here, as a serial run raises it.  Everything runs
-    here when :func:`fork_count` refuses ``path_steps``, the path steps of
-    all items together.  ``fn`` must not depend on which process runs it.
+    here, as one group, when ``path_steps``, the path steps of all items
+    together, is below ``_FORK_MIN_PATH_STEPS``, or when this process cannot
+    fork: no ``os.fork``, or other threads running (a fork would copy their
+    locks).  ``fn`` must not depend on which process runs it.
     """
     items = list(items)
-    n = fork_count(min(worker_count(workers), len(items)), path_steps)
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    elif not is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    n = min(workers, len(items))
+    if not (n > 1 and path_steps >= _FORK_MIN_PATH_STEPS and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        n = 1
     groups = [items[k::n] for k in range(n)]
-    results = in_workers(fn, groups)
+    results = _run_groups(fn, groups)
     return [results[i % n][i // n] for i in range(len(items))]

@@ -83,3 +83,27 @@ def fd_dirichlet_1d(drift, a, source, lam, lower, upper, psi, n):
     for i in range(n - 2, -1, -1):
         h[i + 1] = (rhs[i] - sup[i] * h[i + 2]) / diag[i]
     return x, h
+
+
+def fd_dirichlet_eigenvalues_1d(drift, a, lower, upper, n, k):
+    """The ``k`` smallest Dirichlet eigenvalues mu of ``-(G u' + (1/2) a u'')``
+    on [lower, upper], ascending, from the central-difference operator of
+    :func:`fd_dirichlet_1d` (with lam = 0) on ``n`` interior nodes.
+
+    The operator is tridiagonal.  Where each product of its opposite
+    off-diagonals is positive, a diagonal similarity makes it symmetric with
+    off-diagonals the square roots of those products, so its eigenvalues are
+    real and a symmetric tridiagonal solver finds them.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    x = np.linspace(lower, upper, n + 2)
+    dx = x[1] - x[0]
+    xi = x[1:-1]
+    g, half_a = drift(xi) / (2 * dx), 0.5 * a(xi) / dx**2
+    sub, sup = half_a - g, half_a + g
+    products = sub[1:] * sup[:-1]
+    if not np.all(products > 0):
+        raise ValueError("the operator cannot be symmetrized: sub * sup <= 0")
+    return eigvalsh_tridiagonal(2 * half_a, -np.sqrt(products),
+                                select="i", select_range=(0, k - 1))

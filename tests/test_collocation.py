@@ -201,6 +201,14 @@ class TestAssemble:
         with pytest.raises(ValueError, match="gamma must be finite"):
             assemble(s.system, s.decomp, s.eigenpair, GaussianKernel(1.0), grid, gamma)
 
+    def test_left_eigenvector_must_match_the_state(self, quadratic_setup):
+        # w = [1, 7] on the 1-D preset gave, bit for bit, the source of w = [1]
+        s = quadratic_setup
+        grid = make_grid(s.domain, GridSpec("uniform_1d", 5))
+        pair = EigenPair(eigenvalue=-1.0, left_eigenvector=np.array([1.0, 7.0]))
+        with pytest.raises(ValueError, match="inner dimensions differ"):
+            assemble(s.system, s.decomp, pair, GaussianKernel(1.0), grid, 1e-4)
+
     def test_non_finite_entry_reported(self):
         with np.errstate(over="ignore", invalid="ignore"):
             sys1 = SdeSystem(dim_state=1, dim_noise=1,
@@ -376,6 +384,25 @@ class TestSolutionEvaluation:
         with pytest.raises(ValueError, match="equilibrium must be a finite vector"):
             krr_fit(GaussianKernel(1.0), grid, np.zeros(grid.n_points), eta=1e-4,
                     equilibrium=np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("name, w", [("quadratic", [1.0, 5.0]), ("linear2d", [1.0])])
+    def test_loaded_and_fitted_left_eigenvectors_are_checked(self, name, w, tmp_path):
+        # a quadratic solution with w = [1, 5] loaded and evaluated as w = [1];
+        # a 2-D one with w = [1] failed only in eval_phi, with numpy's matmul error
+        from sdekoopman.feynman_kac import krr_fit
+
+        s = get_model(name)
+        grid = make_grid(s.domain, GridSpec("tensor", 3))
+        sol = CollocationSolution(coefficients=np.zeros(grid.n_points), grid=grid,
+                                  kernel=GaussianKernel(1.0), eigenpair=s.eigenpair)
+        path = tmp_path / "solution.json"
+        path.write_text(json.dumps(dict(solution_to_json_dict(sol), w=w)))
+        message = f"left eigenvector must have length {grid.dim}"
+        with pytest.raises(ValueError, match=message):
+            load_solution(path)
+        with pytest.raises(ValueError, match=message):
+            krr_fit(GaussianKernel(1.0), grid, np.zeros(grid.n_points), eta=1e-4,
+                    eigenpair=EigenPair(eigenvalue=0.0, left_eigenvector=np.array(w)))
 
     def test_quadratic_correction_is_nontrivial(self, quadratic_solution):
         sol, _, _ = quadratic_solution

@@ -180,6 +180,14 @@ class TestFkEstimate:
         b = fk_estimate(s.system, s.decomp, pair, s.domain, np.array([0.4]), cfg)
         assert same_estimate(a, b)
 
+    def test_left_eigenvector_must_match_the_state(self, quadratic_setup):
+        # w = [1, 7] on the 1-D preset gave, bit for bit, the value of w = [1]
+        s = quadratic_setup
+        pair = EigenPair(eigenvalue=1.0, left_eigenvector=np.array([1.0, 7.0]))
+        with pytest.raises(ValueError, match="inner dimensions differ"):
+            fk_estimate(s.system, s.decomp, pair, s.domain, np.array([0.3]),
+                        FkConfig(n_paths=200, t_max=5.0, seed=1))
+
     def test_query_point_must_be_interior(self, ou_setup):
         s = ou_setup
         with pytest.raises(ValueError, match="inside"):
@@ -675,7 +683,7 @@ class TestForkedWorkers:
             groups.append([len(g) for g in gs])
             return [[None] * len(g) for g in gs]
 
-        monkeypatch.setattr(workers_module, "in_workers", record)
+        monkeypatch.setattr(workers_module, "_run_groups", record)
         s = get_model("quadratic", sigma=0.5)
         pair = EigenPair(eigenvalue=1.0, left_eigenvector=np.array([1.0]))
         problem = (s.system, s.decomp, pair, s.domain)

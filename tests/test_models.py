@@ -393,3 +393,9 @@ class TestSmallMatmul:
             for M in (rng.standard_normal((2, 2)), rng.standard_normal(2),
                       np.array([[-0.0, 1e-300], [0.0, -1e300]])):
                 assert np.array_equal(bits(small_matmul(Y, M)), bits(Y @ M))
+
+    def test_inner_dimensions_checked(self):
+        # with one column, rows of M past the first were dropped: Y * M[0]
+        for M in (np.array([1.0, 7.0]), np.ones((2, 3))):
+            with pytest.raises(ValueError, match="inner dimensions differ"):
+                small_matmul(np.ones((3, 1)), M)

@@ -209,9 +209,9 @@ def test_no_private_names_imported_across_modules():
 
 def test_only_the_workers_module_forks():
     # map_in_workers is the one place that deals work to processes; a module
-    # that forks, or calls (or imports under another name) in_workers or
-    # fork_count itself, is a second fan-out path with its own rule
-    fan_out = re.compile(r"\bos\.fork\b|\b(?:in_workers|fork_count)(?:\(|\s+as\b)")
+    # that forks, or calls (or imports under another name) _run_groups or
+    # _fork_worker itself, is a second fan-out path with its own rule
+    fan_out = re.compile(r"\bos\.fork\b|\b(?:_run_groups|_fork_worker)(?:\(|\s+as\b)")
     found = [f"{path.relative_to(ROOT)}:{n}"
              for path in sorted((ROOT / "src").rglob("*.py"))
              if path.name != "workers.py"
@@ -219,6 +219,15 @@ def test_only_the_workers_module_forks():
              if fan_out.search(line)]
     assert not found, found
     assert fan_out.search((ROOT / "src/sdekoopman/workers.py").read_text(encoding="utf-8"))
+
+
+def test_workers_module_has_one_public_function():
+    # map_in_workers holds the fork rule; every other function there is its
+    # private machinery
+    tree = ast.parse((ROOT / "src/sdekoopman/workers.py").read_text(encoding="utf-8"))
+    public = [node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert public == ["map_in_workers"]
 
 
 def test_readme_paths_exist():
