@@ -202,8 +202,8 @@ def cmd_solve(args) -> int:
     cfg, seed, setup, fk = _load_run(args)
     out = _outdir(args, cfg)
     path = os.path.join(out, "solution.json")
-    # written under a temporary name while the metrics run; renamed only
-    # once they succeed, so a failing run leaves no solution.json
+    # written under a temporary name while the SVD runs; renamed only once
+    # every metric succeeds, so a failing run leaves no solution.json
     partial = path + ".partial"
     try:
         sol, asys, report = validation.solve_and_report(

@@ -14,7 +14,6 @@ the reported condition number is the 2-norm value of the regularized matrix.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -103,15 +102,52 @@ def make_grid(domain: Domain, spec: GridSpec) -> CollocationGrid:
     return CollocationGrid(points=pts)
 
 
-def _half_trace_term(K: Array, diff: Array, S: Array, l2: float) -> Array:
-    """``(1/2) Tr[a(x_i) hess_x k(x_i, y_j)]`` from ``K``, ``diff[i, j] = x_i - y_j``,
-    ``S`` the diffusion factors sigma(x_i) stacked (n, d, m) and the squared
-    lengthscale ``l2``; shape (n, N).  ``a = sigma sigma^T`` is formed, never
-    inverted, so the term is exact for singular ``a`` too."""
+def _half_trace_term(K: Array, diffs: Array, S: Array, l2: float) -> Array:
+    """``(1/2) Tr[a(x_i) hess_x k(x_i, y_j)]`` from ``K``, the coordinate
+    differences ``diffs[d][i, j] = x_id - y_jd`` (d arrays or views of shape
+    (n, N)), ``S`` the diffusion factors sigma(x_i) stacked (n, d, m) and the
+    squared lengthscale ``l2``; shape (n, N).  ``a = sigma sigma^T`` is
+    formed, never inverted, so the term is exact for singular ``a`` too.
+
+    The quadratic form is summed into a zeroed block, d outer and e inner,
+    each product as ``(diff_d a_de) diff_e``: the bits of
+    ``np.einsum("ijd,ide,ije->ij", diff, a, diff)``, at a quarter of its
+    time, which goes to its generic three-operand loop.  The rest is worked
+    in place, in the order of ``0.5 * K * (quad / l2**2 - tr / l2)``.
+    """
     a = np.einsum("idm,iem->ide", S, S)
-    quad = np.einsum("ijd,ide,ije->ij", diff, a, diff)
-    tr = np.einsum("idd->i", a)
-    return 0.5 * K * (quad / l2**2 - tr[:, None] / l2)
+    quad = np.zeros(K.shape)
+    term = np.empty(K.shape)
+    for d, diff_d in enumerate(diffs):
+        for e, diff_e in enumerate(diffs):
+            np.multiply(diff_d, a[:, d, e, None], out=term)
+            term *= diff_e
+            quad += term
+    quad /= l2**2
+    quad -= np.einsum("idd->i", a)[:, None] / l2
+    np.multiply(K, 0.5, out=term)
+    term *= quad
+    return term
+
+
+def _drift_term(G: Array, diffs: Array) -> Array:
+    """``G(x_i) . (x_i - y_j)`` from the drift values ``G`` (n, d) and the
+    coordinate differences ``diffs`` (d, n, N), with the bits of
+    ``np.einsum("id,ijd->ij", G, diff)``.
+
+    For d <= 2 it is the explicit sum ``(+0.0 + G_0 diff_0) + G_1 diff_1``,
+    as :func:`feynman_kac._noise_sum` writes its own: einsum sums the same
+    products into a zeroed accumulator, and two terms round alike in either
+    order.  For d >= 3 einsum orders its sum differently, so it is kept, on
+    the (n, N, d) tensor it was written for.
+    """
+    if len(diffs) > 2:
+        return np.einsum("id,ijd->ij", G, np.moveaxis(diffs, 0, -1).copy())
+    out = G[:, 0, None] * diffs[0]
+    out += 0.0
+    if len(diffs) == 2:
+        out += G[:, 1, None] * diffs[1]
+    return out
 
 
 _MATRICES = ("gram", "drift", "diffusion")
@@ -130,10 +166,11 @@ def _blocks(kern: GaussianKernel, X: Array, G: Array, S: Array,
     """
     N, d = X.shape
     l2 = kern.lengthscale**2
+    Xt = X.T.copy()  # coordinate-major: each block's differences are one flat loop
     for blk, K in kern.eval_blocks(X, X, block_rows(N * d)):
-        diff = X[blk, None, :] - X[None, :, :]  # diff[i, j] = x_i - x_j
-        L = -(np.einsum("id,ijd->ij", G[blk], diff) / l2) * K if drift else None
-        D = _half_trace_term(K, diff, S[blk], l2) if diffusion else None
+        diffs = Xt[:, blk, None] - Xt[:, None, :]  # diffs[d][i, j] = x_id - x_jd
+        L = -(_drift_term(G[blk], diffs) / l2) * K if drift else None
+        D = _half_trace_term(K, diffs, S[blk], l2) if diffusion else None
         yield blk, K, L, D
 
 
@@ -388,7 +425,8 @@ def pde_residual(sol: CollocationSolution, system: SdeSystem, test_points) -> Re
         grad_phi = w[None, :] - np.einsum("njd,nj,j->nd", diff, K, alpha) / l2
         phi = linear[blk] + K @ alpha
         r[blk] = (np.einsum("nd,nd->n", G[blk], grad_phi)
-                  + _half_trace_term(K, diff, S[blk], l2) @ alpha - lam * phi)
+                  + _half_trace_term(K, np.moveaxis(diff, -1, 0), S[blk], l2) @ alpha
+                  - lam * phi)
     r = np.abs(r)
     return ResidualStats(mean=float(r.mean()), max=float(r.max()), per_point=r)
 
@@ -464,16 +502,6 @@ def solution_from_json_dict(doc: dict) -> CollocationSolution:
     )
 
 
-def _small_repr(m) -> bytes:
-    """``d.xxe-05`` for orjson's ``0.0000dxx``, unless the match is the tail
-    of a larger number's digits."""
-    start = m.start()
-    if start and m.string[start - 1] in b"0123456789.":
-        return m.group(0)
-    digits = m.group(2)
-    return m.group(1) + (b"." + digits if digits else b"") + b"e-05"
-
-
 def _json_items(blk: Array) -> bytes:
     """The items of ``json.dumps(blk.tolist())``, without the outer brackets.
 
@@ -485,16 +513,20 @@ def _json_items(blk: Array) -> bytes:
         return json.dumps(blk.tolist())[1:-1].encode("ascii")
     import orjson  # only the writer needs it; keeps it out of every command's import
 
-    # orjson spells 1e-5 <= |v| < 1e-4 positionally ("0.0000d..." for
-    # "d...e-05") and writes exponents without "+" or zero padding ("1e16",
-    # "1e-6" for "1e+16", "1e-06").  The patterns are compiled on first use
-    # (re's cache), not at import: commands that write no solution skip them.
-    text = orjson.dumps(blk, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    # float.__repr__ spells |v| < 1e-4 (v != 0) and |v| >= 1e16 with an
+    # exponent, where orjson spells 1e-5 <= |v| < 1e-4 positionally
+    # ("0.0000d..." for "d...e-05") and writes exponents without "+" or zero
+    # padding ("1e16", "1e-6" for "1e+16", "1e-06").  Those entries, which
+    # are few, go to orjson as NaN, which it prints as "null", and each
+    # "null" is replaced by its entry's repr.
     mag = np.abs(blk)
-    if ((mag >= 1e-5) & (mag < 1e-4)).any():
-        text = re.sub(rb"0\.0000([1-9])(\d*)", _small_repr, text)
-    if b"e" in text:
-        text = re.sub(rb"e-(\d)(?!\d)", rb"e-0\1", re.sub(rb"e(?=\d)", b"e+", text))
+    respell = ((mag < 1e-4) & (mag > 0)) | (mag >= 1e16)
+    reprs = [repr(v).encode("ascii") for v in blk[respell].tolist()]
+    text = orjson.dumps(np.where(respell, np.nan, blk) if reprs else blk,
+                        option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    if reprs:
+        parts = text.split(b"null")
+        text = b"".join([part for pair in zip(parts, reprs) for part in pair] + parts[-1:])
     return text.replace(b",", b", ")
 
 

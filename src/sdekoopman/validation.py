@@ -193,10 +193,15 @@ def solve_and_report(setup: ModelSetup, seed: int, fk: Optional[FkConfig] = None
     :class:`ExperimentReport`.  Without ``condition_number`` no SVD runs,
     and only ``collocation.solve``'s checks catch a singular system.
 
-    With ``write``, the metrics run on one helper thread while this thread
-    calls ``write(solution, assembled)``; the SVD and large numpy operations
-    release the GIL.  A failing metric raises after ``write`` returns, ahead
-    of any error of ``write``, as if the metrics had run first.
+    With ``write``, the condition number's SVD runs on a helper thread, started
+    once the LU has succeeded, while this thread calls ``write(solution,
+    assembled)`` and then computes the other metrics; the SVD and large numpy
+    operations release the GIL.  The errors rank as if the metrics had run
+    first and ``write`` last: the SVD's error wins, then the first failing
+    metric's, then ``write``'s, and the metrics still run when ``write``
+    raises.  Without ``write`` everything runs on this thread, and no thread
+    is started (``workers.map_in_workers`` forks only while no other thread
+    runs).
     """
     cfg = fk or FkConfig(n_paths=SEMIGROUP_PATHS, seed=seed)
     if "semigroup" in metrics:
@@ -207,34 +212,40 @@ def solve_and_report(setup: ModelSetup, seed: int, fk: Optional[FkConfig] = None
     # the LU fails or gives non-finite coefficients
     sol, asys, _ = solve_system(setup.system, setup.decomp, setup.eigenpair,
                                 kern, grid, setup.gamma, condition=False)
+    pts = residual_test_points(setup.domain)
+    # one entry per ALLOWED_METRICS key, whose order is ExperimentReport's
+    # field order; each function is looked up in this module when it runs
+    table = {
+        "condition_number": lambda: condition_number(asys.system_matrix),
+        "pde_residual": lambda: pde_residual(sol, setup.system, pts).mean,
+        "semigroup": lambda: 100.0 * semigroup_check(
+            setup.system, sol.eval_phi, setup.eigenpair.eigenvalue,
+            setup.semigroup_x0, SEMIGROUP_T, cfg).relative_error,
+        "rmse": lambda: (None if setup.exact_phi is None
+                         else rmse_vs_exact(sol.eval_phi, setup.exact_phi, pts)),
+        "max_abs_h": lambda: float(np.max(np.abs(sol.eval_h(pts)))),
+    }
 
-    def report():
-        pts = residual_test_points(setup.domain)
-        # one entry per ALLOWED_METRICS key, whose order is ExperimentReport's
-        # field order; each function is looked up in this module when it runs
-        table = {
-            "condition_number": lambda: condition_number(asys.system_matrix),
-            "pde_residual": lambda: pde_residual(sol, setup.system, pts).mean,
-            "semigroup": lambda: 100.0 * semigroup_check(
-                setup.system, sol.eval_phi, setup.eigenpair.eigenvalue,
-                setup.semigroup_x0, SEMIGROUP_T, cfg).relative_error,
-            "rmse": lambda: (None if setup.exact_phi is None
-                             else rmse_vs_exact(sol.eval_phi, setup.exact_phi, pts)),
-            "max_abs_h": lambda: float(np.max(np.abs(sol.eval_h(pts)))),
-        }
-        return ExperimentReport(setup.system.label, *(table[key]() if key in metrics else None
-                                                      for key in ALLOWED_METRICS))
+    def measure(keys):
+        return {key: table[key]() for key in keys if key in metrics}
 
     if write is None:
-        return sol, asys, report()
-    from concurrent.futures import ThreadPoolExecutor  # 7 ms to import; only write needs it
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(report)
-        try:
-            write(sol, asys)
-        finally:
-            result = pending.result()
-    return sol, asys, result
+        values = measure(ALLOWED_METRICS)
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # 7 ms to import; only write needs it
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            svd = pool.submit(measure, ("condition_number",))
+            try:
+                try:
+                    write(sol, asys)
+                finally:
+                    values = measure([key for key in ALLOWED_METRICS
+                                      if key != "condition_number"])
+            finally:
+                cond = svd.result()
+        values.update(cond)
+    return sol, asys, ExperimentReport(setup.system.label,
+                                       *(values.get(key) for key in ALLOWED_METRICS))
 
 
 def conditioning_sweep(sigmas, fk: Optional[FkConfig] = None, seed: Optional[int] = None,

@@ -486,6 +486,14 @@ class TestResiduals:
         assert res.max >= res.mean >= 0.0
 
 
+def _einsum_half_trace(K, diff, S, l2):
+    """The half Hessian-trace term by its einsum formula, from the (n, N, d)
+    difference tensor."""
+    a = np.einsum("idm,iem->ide", S, S)
+    quad = np.einsum("ijd,ide,ije->ij", diff, a, diff)
+    return 0.5 * K * (quad / l2**2 - np.einsum("idd->i", a)[:, None] / l2)
+
+
 def _whole_residual(sol, system, X):
     """|r| at the points X by the whole-matrix formula, with its (n, N, d) tensor."""
     G, S = system.drift_at(X), system.sigma_at(X)
@@ -495,8 +503,8 @@ def _whole_residual(sol, system, X):
     diff = X[:, None, :] - sol.grid.points[None, :, :]
     grad_phi = w[None, :] - np.einsum("njd,nj,j->nd", diff, K, alpha) / l2
     phi = (X - sol.equilibrium) @ w + K @ alpha
-    r = (np.einsum("nd,nd->n", G, grad_phi)
-         + collocation._half_trace_term(K, diff, S, l2) @ alpha - lam * phi)
+    r = (np.einsum("nd,nd->n", G, grad_phi) + _einsum_half_trace(K, diff, S, l2) @ alpha
+         - lam * phi)
     return np.abs(r)
 
 
@@ -892,7 +900,7 @@ def _one_shot(system, eigenpair, kern, grid, gamma):
     K = kern.eval_matrix(X, X)
     diff = X[:, None, :] - X[None, :, :]
     L = -(np.einsum("id,ijd->ij", system.drift_at(X), diff) / l2) * K
-    D = collocation._half_trace_term(K, diff, system.sigma_at(X), l2)
+    D = _einsum_half_trace(K, diff, system.sigma_at(X), l2)
     M = L + D - eigenpair.eigenvalue * K + gamma * np.eye(len(X))
     return K, L, D, M
 
@@ -953,3 +961,41 @@ class TestBlockedAssembly:
         _, asys, _, _ = ou_assembled()
         asys.gram[0, 0] = 7.0
         assert asys.gram[0, 0] == 1.0
+
+
+class TestExplicitSums:
+    """The drift and Hessian-trace terms of ``_blocks`` are written as explicit
+    sums; they equal the einsum formulas bit for bit, signed zeros included."""
+
+    @staticmethod
+    def random_problem(dim):
+        rng = np.random.default_rng(10 + dim)
+        N = 23
+        X = rng.uniform(-1.0, 1.0, (N, dim))
+        X[4, 0] = X[9, 0]  # a zero difference off the diagonal too
+        G = rng.standard_normal((N, dim))
+        G[::5] = -0.0  # -0.0 products, which a zeroed accumulator turns to +0.0
+        # a correlated sigma: a = sigma sigma^T has off-diagonal entries
+        S = rng.standard_normal((N, dim, dim + 1))
+        return X, G, S
+
+    @pytest.mark.parametrize("rows", [1, 7, 100])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blocks_equal_einsum_bits(self, monkeypatch, dim, rows):
+        X, G, S = self.random_problem(dim)
+        N = len(X)
+        kern = GaussianKernel(0.7)
+        l2 = kern.lengthscale**2
+        K = kern.eval_matrix(X, X)
+        diff = X[:, None, :] - X[None, :, :]
+        want_L = -(np.einsum("id,ijd->ij", G, diff) / l2) * K
+        want_D = _einsum_half_trace(K, diff, S, l2)
+        # the rows with G = -0.0 are -0.0 only through the zeroed sum: its
+        # products are -0.0 wherever the difference is positive
+        assert np.signbit(want_L[::5]).all()
+        monkeypatch.setattr(collocation, "block_rows", lambda n_cols: rows)  # 23 % 7: short last
+        got_L, got_D = np.empty((N, N)), np.empty((N, N))
+        for blk, _, L, D in collocation._blocks(kern, X, G, S):
+            got_L[blk], got_D[blk] = L, D
+        assert np.array_equal(got_L.view(np.uint64), want_L.view(np.uint64))
+        assert np.array_equal(got_D.view(np.uint64), want_D.view(np.uint64))

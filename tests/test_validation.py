@@ -10,12 +10,14 @@ from sdekoopman import (Domain, EigenPair, FkConfig, GaussianKernel,
                         conditioning_sweep, make_grid, rmse_vs_exact,
                         run_experiment, semigroup_check, semigroup_curve,
                         solve_system)
+import sdekoopman.collocation as collocation
 import sdekoopman.validation as validation
 import sdekoopman.workers as workers_module
 from sdekoopman.cli import _report_csv
 from sdekoopman.collocation import (CollocationSolution, GridSpec, assemble, condition_number,
                                     save_solution)
 from sdekoopman.config import ALLOWED_METRICS
+from sdekoopman.errors import SingularSystemError
 from sdekoopman.models import SdeSystem, linearize
 from sdekoopman.registry import constant_diffusion, get_model
 from sdekoopman.validation import (ExperimentReport, boundary_points,
@@ -360,6 +362,90 @@ class TestMetricsTable:
 
         with pytest.raises(OSError, match="write failed on purpose"):
             solve_and_report(get_model("ou"), 0, fk=SMALL_FK, write=write)
+
+    def test_condition_number_runs_beside_write_and_the_rest_after_it(self, monkeypatch):
+        # the SVD alone goes to the helper thread; write and every other
+        # metric (max|h| through eval_h) run on the calling thread
+        threads = {}
+
+        def recording(name, fn):
+            def record(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.current_thread())
+                return fn(*args, **kwargs)
+            return record
+
+        for name in self.FUNCTIONS.values():
+            monkeypatch.setattr(validation, name, recording(name, getattr(validation, name)))
+        monkeypatch.setattr(CollocationSolution, "eval_h",
+                            recording("eval_h", CollocationSolution.eval_h))
+        write = recording("write", lambda sol, asys: None)
+        report = solve_and_report(get_model("ou"), 0, fk=SMALL_FK, write=write)[2]
+        assert None not in astuple(report)
+        main = {threading.current_thread()}
+        helper = threads.pop("condition_number")
+        assert len(helper) == 1 and helper != main
+        assert threads == dict.fromkeys(("pde_residual", "semigroup_check", "rmse_vs_exact",
+                                         "eval_h", "write"), main)
+
+    def test_failing_metric_wins_over_failing_write(self, monkeypatch):
+        ran = []
+
+        def failing_residual(*args):
+            raise ValueError("residual failed on purpose")
+
+        def write(sol, asys):
+            ran.append("write")
+            raise OSError("write failed on purpose")
+
+        monkeypatch.setattr(validation, "pde_residual", failing_residual)
+        with pytest.raises(ValueError, match="residual failed on purpose"):
+            solve_and_report(get_model("ou"), 0, fk=SMALL_FK, write=write)
+        assert ran == ["write"]
+
+    def test_failing_condition_number_wins_over_failing_metric(self, monkeypatch):
+        # the SVD fails only after the main thread's metric has failed
+        failed = threading.Event()
+
+        def failing_residual(*args):
+            failed.set()
+            raise ValueError("residual failed on purpose")
+
+        def failing_condition(M):
+            assert failed.wait(timeout=60)
+            raise ArithmeticError("condition number failed on purpose")
+
+        monkeypatch.setattr(validation, "pde_residual", failing_residual)
+        monkeypatch.setattr(validation, "condition_number", failing_condition)
+        with pytest.raises(ArithmeticError, match="condition number failed on purpose"):
+            solve_and_report(get_model("ou"), 0, fk=SMALL_FK, write=lambda sol, asys: None)
+
+    def test_failing_lu_computes_the_condition_number_once(self, monkeypatch):
+        calls, written = [], []
+
+        def counting(M):
+            calls.append(threading.current_thread())
+            return condition_number(M)
+
+        def failing_lu(M, b):
+            raise np.linalg.LinAlgError("LU failed on purpose")
+
+        monkeypatch.setattr(np.linalg, "solve", failing_lu)
+        monkeypatch.setattr(collocation, "condition_number", counting)
+        monkeypatch.setattr(validation, "condition_number", counting)
+        with pytest.raises(SingularSystemError, match="LU factorization failed"):
+            solve_and_report(get_model("ou"), 0, fk=SMALL_FK,
+                             write=lambda sol, asys: written.append(True))
+        assert calls == [threading.current_thread()] and written == []
+
+    def test_without_write_no_thread_starts(self, monkeypatch):
+        # map_in_workers forks only while no other thread runs, so a thread
+        # here would make sweep and reproduce serial without a word
+        def no_thread(self):
+            raise AssertionError(f"thread {self.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        report = solve_and_report(get_model("ou"), 0, fk=SMALL_FK)[2]
+        assert None not in astuple(report)
 
 
 class TestSolveMemory:
