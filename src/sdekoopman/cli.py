@@ -221,7 +221,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _read_queries(path, dim):
+def _read_queries(path, domain):
     rows = []
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -235,10 +235,12 @@ def _read_queries(path, dim):
             if lineno == 1:
                 continue  # optional header row
             raise errors.QueryFileError(f"could not parse '{stripped}'", lineno)
-        if len(vals) != dim:
-            raise errors.QueryFileError(f"expected {dim} coordinates, got {len(vals)}", lineno)
-        if not np.all(np.isfinite(vals)):
-            raise errors.QueryFileError(f"non-finite coordinate in '{stripped}'", lineno)
+        if len(vals) != domain.dim:
+            raise errors.QueryFileError(f"expected {domain.dim} coordinates, got {len(vals)}",
+                                        lineno)
+        if not domain.contains_strict(vals):  # a NaN or +-inf never is
+            raise errors.QueryFileError(f"query {len(rows)} '{stripped}' must lie strictly "
+                                        "inside the domain", lineno)
         rows.append(vals)
     if not rows:
         raise errors.QueryFileError("query file contains no points", 0)
@@ -247,7 +249,7 @@ def _read_queries(path, dim):
 
 def cmd_fk(args) -> int:
     cfg, _, setup, fk = _load_run(args)
-    queries = _read_queries(args.queries, setup.system.dim_state)
+    queries = _read_queries(args.queries, setup.domain)
     if args.fit:  # before the batch, which a bad eta or coinciding queries would waste
         feynman_kac.check_eta(args.eta)
         grid = collocation.CollocationGrid(points=queries)
@@ -257,12 +259,12 @@ def cmd_fk(args) -> int:
                                      setup.domain, queries, fk, workers=args.threads)
     _write(os.path.join(out, "fk_estimates.csv"),
            _fk_estimates_csv(estimates, queries))
+    failed = [i for i, e in enumerate(estimates) if e.failure is not None]
+    if failed:
+        raise errors.EvaluationError(f"estimates failed at query indices {failed}: "
+                                     f"{estimates[failed[0]].failure}")
 
     if args.fit:
-        failed = [i for i, e in enumerate(estimates) if e.failure is not None]
-        if failed:
-            raise errors.SdeKoopmanError(
-                f"cannot fit: estimates failed at query indices {failed}")
         kern = kernels.GaussianKernel(setup.lengthscale)
         values = [e.value for e in estimates]
         fitted = feynman_kac.krr_fit(kern, grid, values, args.eta,

@@ -6,11 +6,16 @@ The nonlinear correction admits the probabilistic representation
 
 with tau the first exit time from the domain box.  Paths are simulated with
 Euler-Maruyama steps; the running source integral uses the left-endpoint rule
-(accumulate at the current state, then step), accepting the O(dt) bias.  Exit
-is detected at discrete steps and the exit position is the componentwise
-clamp of the first out-of-box state onto the box; a path that leaves and
-returns between two steps is missed, which biases estimates by O(sqrt(dt)),
-the larger of the two terms.
+(accumulate at the current state, then step), accepting the O(dt) bias.  Each
+step draws the normals, advances the live paths and runs one drop step: a
+path whose new state is not finite fails its whole query, and a path of a
+query still running whose state after step ``s`` is outside the box exits at
+``tau = (s + 1) dt`` with value ``acc + e^{-lambda tau} psi(clamp(X))``,
+clamp projecting componentwise onto the box.  Finiteness is tested apart
+from the box, which holds +-inf when a face is infinite, so psi never sees a
+state that is not finite.  A path that leaves and returns between two steps
+is missed, which biases estimates by O(sqrt(dt)), the larger of the two
+terms.
 
 Randomness is counter-based: the normals for simulation step ``s`` of query
 stream ``q`` come from a Philox generator keyed by ``(seed, q)`` with counter
@@ -271,16 +276,28 @@ def _advance(system: SdeSystem, decomp: LinearDecomposition, w: Array, X: Array,
         X, G, system.sigma_at(X), Z, dt, np.empty_like(X), np.empty_like(X))
 
 
+def _estimate(v: Array, tau: Array, guard_active: bool) -> FkEstimate:
+    """The estimate from one query's path values ``v`` and exit times ``tau``
+    (NaN for a capped path)."""
+    capped = np.isnan(tau)
+    n_capped, K = int(capped.sum()), len(v)
+    mean_exit = float(tau[~capped].mean()) if n_capped < K else float("nan")
+    se = 0.0 if K == 1 or np.ptp(v) == 0.0 else float(v.std(ddof=1) / np.sqrt(K))
+    return FkEstimate(value=float(v.mean()), std_error=se, n_capped=n_capped,
+                      mean_exit_time=mean_exit,
+                      discount_overflow=bool(guard_active and n_capped > 0), n_paths=K)
+
+
 def _fk_block(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,
               domain: Domain, points: Array, streams, cfg: FkConfig) -> list[FkEstimate]:
     """Step the paths of the queries ``points`` (stream ids ``streams``) together.
 
     Path ``k`` of the ``j``-th query is flat row ``j * K + k``.  Only live
-    paths are stepped, kept compacted in flat-row order with their row
-    indices and running source integrals ``acc``; a path's value goes to
-    ``vals`` when it exits, and at the end for capped paths.  A query whose
-    paths blow up gets a failure estimate carrying the message a standalone
-    run raises; the other queries are unaffected.
+    paths are stepped, kept in flat-row order with their row indices and
+    running source integrals ``acc``, which the drop step (module docstring)
+    compacts once per step; an exit's value goes to ``vals``, and a capped
+    path's at the end.  A failed query carries the message a standalone run
+    raises; the other queries are unaffected.
     """
     lam = eigenpair.eigenvalue
     w = eigenpair.left_eigenvector
@@ -327,50 +344,29 @@ def _fk_block(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPa
             for part in parts:
                 source[part], Xn[part] = _advance(system, decomp, w, X[part], Zl[part], dt)
         acc += np.exp(-lam * t) * source * dt
-        if not np.all(np.isfinite(Xn)):
-            bad = np.flatnonzero(~np.isfinite(Xn).all(axis=1))
+        ok = np.isfinite(Xn).all(axis=1)
+        inside = domain.contains(Xn)
+        if not (inside.all() and ok.all()):
+            bad = np.flatnonzero(~ok)
             queries, first = np.unique(rows[bad] // K, return_index=True)
-            ok = np.ones(rows.size, dtype=bool)
             for j, r in zip(queries, bad[first]):
                 failures[j] = f"path blew up from state {X[r]} at t={t:.4g}"
                 ok[bounds[j]:bounds[j + 1]] = False
-            Xn, rows, acc = Xn[ok], rows[ok], acc[ok]
-            changed = True
-        inside = domain.contains(Xn)
-        if not inside.all():
             # row indices select faster than a boolean mask, most of all from (n, d)
-            gone = np.flatnonzero(~inside)
-            exited = rows[gone]
-            t_next = (s + 1) * dt
-            tau[exited] = t_next
-            vals[exited] = acc[gone] + np.exp(-lam * t_next) * domain.psi_at(
-                domain.clamp(Xn[gone]))
-            keep = np.flatnonzero(inside)
+            gone = np.flatnonzero(ok & ~inside)
+            if gone.size:  # none when only blow-ups drop paths
+                exited = rows[gone]
+                t_next = (s + 1) * dt
+                tau[exited] = t_next
+                vals[exited] = acc[gone] + np.exp(-lam * t_next) * domain.psi_at(
+                    domain.clamp(Xn[gone]))
+            keep = np.flatnonzero(ok & inside)
             Xn, rows, acc = Xn.take(keep, axis=0), rows.take(keep), acc.take(keep)
             changed = True
         X = Xn
     vals[rows] = acc
-
-    n_capped = np.diff(np.searchsorted(rows, query_starts))
-    estimates = []
-    for j in range(n_q):
-        if failures[j] is not None:
-            estimates.append(_failed(cfg, failures[j]))
-            continue
-        span = slice(j * K, (j + 1) * K)
-        v, tau_j = vals[span], tau[span]
-        exited = ~np.isnan(tau_j)
-        mean_exit = float(tau_j[exited].mean()) if exited.any() else float("nan")
-        if K == 1 or np.ptp(v) == 0.0:
-            se = 0.0
-        else:
-            se = float(v.std(ddof=1) / np.sqrt(K))
-        capped = int(n_capped[j])
-        estimates.append(FkEstimate(value=float(v.mean()), std_error=se,
-                                    n_capped=capped, mean_exit_time=mean_exit,
-                                    discount_overflow=bool(guard_active and capped > 0),
-                                    n_paths=K))
-    return estimates
+    return [_estimate(vals[j * K:(j + 1) * K], tau[j * K:(j + 1) * K], guard_active)
+            if failures[j] is None else _failed(cfg, failures[j]) for j in range(n_q)]
 
 
 def fk_estimate(system: SdeSystem, decomp: LinearDecomposition, eigenpair: EigenPair,

@@ -245,6 +245,40 @@ class TestFkCommand:
             assert main(["fk", "--config", cfg, "--queries", str(queries)]) == 2
             assert "line 2" in capsys.readouterr().err
 
+    def test_query_outside_the_domain_exits_2(self, tmp_path, capsys, monkeypatch):
+        # checked while the file is read: before any path or --out
+        import sdekoopman.feynman_kac as feynman_kac
+
+        must_not_run(monkeypatch, feynman_kac, "fk_batch")
+        queries = tmp_path / "q.csv"
+        queries.write_text("x\n0.5\n5.0\n")
+        out = tmp_path / "fk"
+        assert main(["fk", "--config", write_config(tmp_path, {"model": "quadratic"}),
+                     "--queries", str(queries), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: line 3: query 1 '5.0' must lie "
+                                           "strictly inside the domain\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fit", [[], ["--fit"]], ids=["plain", "fit"])
+    def test_blown_up_queries_keep_their_rows_and_exit_3(self, tmp_path, capsys, fit):
+        # sigma = 1e308 overflows the noise of some paths on the first step
+        cfg = write_config(tmp_path, {"model": {"name": "quadratic", "sigma": 1e308},
+                                      "seed": 3, "fk": {"n_paths": 4, "dt": 1.0,
+                                                        "t_max": 1.0}})
+        queries = tmp_path / "q.csv"
+        queries.write_text("0.5\n-0.5\n0.0\n")
+        out = tmp_path / "fk"
+        with np.errstate(over="ignore"):
+            assert main(["fk", "--config", cfg, "--queries", str(queries),
+                         "--out", str(out), *fit]) == 3
+        assert capsys.readouterr().err == (
+            "error [fk]: estimates failed at query indices [1, 2]: "
+            "path blew up from state [-0.5] at t=0\n")
+        rows = read(out / "fk_estimates.csv").decode().splitlines()
+        assert [row.split(",")[:3] for row in rows[1:]] == [
+            ["0", "0.5", "0.07500000000000001"], ["1", "-0.5", "nan"], ["2", "0.0", "nan"]]
+        assert os.listdir(out) == ["fk_estimates.csv"]
+
     def test_wrong_dimension_reported(self, tmp_path, capsys):
         cfg = write_config(tmp_path, OU_DOC)
         queries = tmp_path / "q.csv"
@@ -662,8 +696,9 @@ class TestExitCodes:
         assert "finite step count" in capsys.readouterr().err
 
     def test_fk_step_count_above_cap_exits_2(self, tmp_path, capsys):
-        # 5e10 steps per path; the query lies outside the domain, so the run
-        # would step no path and write its CSV if the load let the config by
+        # 5e10 steps per path; the query lies outside the domain, so if the
+        # load let the config by, the query check would exit 2 with its own
+        # message before any path is stepped
         cfg = write_config(tmp_path, {"model": "quadratic",
                                       "fk": {"n_paths": 10, "dt": 1e-9}})
         queries = tmp_path / "q.csv"

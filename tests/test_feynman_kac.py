@@ -326,12 +326,13 @@ def pinned_cases():
     }
 
 
-def cubic_blowup():
-    """Drift -x + x^3 on a huge box: paths started beyond |x| = 1 overflow."""
+def cubic_blowup(upper=1e300):
+    """Drift -x + x^3 on the box [-upper, upper]: paths started beyond
+    |x| = 1 overflow."""
     sys1 = SdeSystem(dim_state=1, dim_noise=1, drift=lambda x: -x + x ** 3,
                      diffusion_factor=constant_diffusion(np.array([[0.05]])))
     dec = linearize(sys1, a_matrix=np.array([[-1.0]]))
-    return sys1, dec, positive_pair(), Domain(lower=[-1e300], upper=[1e300])
+    return sys1, dec, positive_pair(), Domain(lower=[-upper], upper=[upper])
 
 
 class TestBatchEngine:
@@ -414,21 +415,67 @@ class TestBatchEngine:
             taken = est.n_capped * n_steps + round(exited * est.mean_exit_time / cfg.dt)
             assert sum(rows) == taken
 
-    def test_blowup_fails_only_its_query(self):
-        problem = cubic_blowup()
-        cfg = FkConfig(dt=0.5, n_paths=16, t_max=5.0, seed=2)
-        pts = [[0.1], [1.9], [-0.3], [5.0]]
+    @staticmethod
+    def fails_only(problem, pts, cfg, failures):
+        """``fk_batch`` fails the queries ``failures`` names (index: message)
+        with the error a standalone run raises; the others equal their
+        standalone runs."""
         with np.errstate(over="ignore", invalid="ignore"):
             ests = fk_batch(*problem, pts, cfg)
             for i, (x, est) in enumerate(zip(pts, ests)):
-                if i in (1, 3):
+                if i in failures:
                     with pytest.raises(EvaluationError) as err:
                         fk_estimate(*problem, np.array(x), cfg, query_index=i)
-                    assert est.failure == str(err.value)
-                    assert "blew up" in est.failure and np.isnan(est.value)
+                    assert est.failure == str(err.value) == failures[i]
+                    assert np.isnan(est.value)
                 else:
                     alone = fk_estimate(*problem, np.array(x), cfg, query_index=i)
                     assert est.failure is None and same_estimate(est, alone)
+
+    def test_blowup_fails_only_its_query(self):
+        # a box with infinite faces contains +-inf: the blow-up is still
+        # reported from the last finite state, at the step that overflows
+        for upper in (1e300, np.inf):
+            self.fails_only(cubic_blowup(upper), [[0.1], [1.9], [-0.3], [5.0]],
+                            FkConfig(dt=0.5, n_paths=16, t_max=5.0, seed=2),
+                            {1: "path blew up from state [8.85647841e+120] at t=3",
+                             3: "path blew up from state [6.37226535e+134] at t=2.5"})
+
+    def test_blowup_and_exit_on_one_step(self):
+        # sigma = 1 spreads the paths of a query both ways: those below -1 fall
+        # through the lower face at -3, those above +1 overflow (the upper
+        # face is infinite); queries 3 and 4 blow up on a step on which
+        # another of their paths exits
+        def psi(X):
+            if not np.isfinite(X).all():
+                raise AssertionError(f"psi evaluated at {X}")
+            return 0.3 + X[:, 0]
+
+        sys1 = SdeSystem(dim_state=1, dim_noise=1, drift=lambda x: -x + x ** 3,
+                         diffusion_factor=constant_diffusion(np.array([[1.0]])))
+        problem = (sys1, linearize(sys1, a_matrix=np.array([[-1.0]])), positive_pair(),
+                   Domain(lower=[-3.0], upper=[np.inf], boundary_value=psi))
+        self.fails_only(problem, [[0.0], [0.5], [-0.5], [0.9], [1.05]],
+                        FkConfig(dt=0.25, n_paths=16, t_max=2.5, seed=4),
+                        {3: "path blew up from state [2.38171041e+213] at t=2.25",
+                         4: "path blew up from state [5.67545038e+113] at t=2"})
+
+    def test_exit_time_and_payoff_by_hand(self):
+        # sigma = 0 and G(x) = x, so F = 0: every path runs x_s = 0.5 (1 + dt)^s,
+        # exits after the first step s* with 0.5 (1 + dt)^(s* + 1) > 1 at
+        # tau = (s* + 1) dt, and pays e^{-tau} psi(clamp(x)) = e^{-tau} * 1.0
+        sys1 = SdeSystem(dim_state=1, dim_noise=1, drift=lambda x: x,
+                         diffusion_factor=constant_diffusion(np.array([[0.0]])))
+        problem = (sys1, linearize(sys1, a_matrix=np.array([[1.0]])), positive_pair(),
+                   Domain(lower=[-1.0], upper=[1.0],
+                          boundary_value=lambda X: np.atleast_2d(X)[:, 0]))
+        dt = 0.1
+        s_star = next(s for s in range(100) if 0.5 * (1 + dt) ** (s + 1) > 1)
+        tau = (s_star + 1) * dt
+        est = fk_estimate(*problem, np.array([0.5]),
+                          FkConfig(dt=dt, n_paths=8, t_max=5.0, seed=0))
+        assert s_star == 7 and est.n_capped == 0 and est.mean_exit_time == tau
+        assert est.value == np.exp(-tau) * 1.0 and est.std_error == 0.0
 
 
 class TestKrrFit:

@@ -117,6 +117,32 @@ assert "orjson" not in sys.modules
 """)
 
 
+def test_benchmark_step_count_is_the_estimators():
+    # tracing.fk_steps_per_path reads feynman_kac._horizon, the one private
+    # name the benchmark imports; on an all-capped run it must count the
+    # steps fk_estimate takes, also when the discount guard (lambda < 0)
+    # shortens the horizon below t_max
+    _run_after_child_imports(r"""
+import numpy as np
+import tracing
+from sdekoopman import EigenPair, FkConfig, fk_estimate, get_model
+from sdekoopman.models import SdeSystem
+
+s = get_model("quadratic", sigma=0.0)
+cfg = FkConfig(dt=0.05, n_paths=2, t_max=30.0)
+steps = []
+drift_at = SdeSystem.drift_at
+SdeSystem.drift_at = lambda self, X: steps.append(len(X)) or drift_at(self, X)
+for lam, n_steps in ((1.0, 600), (-1.0, 552)):
+    steps.clear()
+    pair = EigenPair(eigenvalue=lam, left_eigenvector=np.array([1.0]))
+    est = fk_estimate(s.system, s.decomp, pair, s.domain, np.array([0.5]), cfg)
+    assert est.all_capped and est.discount_overflow == (lam < 0), est
+    assert steps == [cfg.n_paths] * n_steps, (lam, len(steps))
+    assert tracing.fk_steps_per_path(cfg, lam) == n_steps
+""")
+
+
 PIN_BEFORE_NUMPY = r"""
 import os, sys
 
